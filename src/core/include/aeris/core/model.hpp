@@ -121,9 +121,14 @@ class AerisModel {
   Tensor partition_batch(const Tensor& x, std::int64_t shift) const;
   Tensor reverse_batch(const Tensor& windows, std::int64_t batch,
                        std::int64_t shift) const;
+  // Inference body of forward(): the token stream stays in window order
+  // from the embed to the head (see DESIGN.md, "Inference buffer plan").
+  Tensor forward_windows(const Tensor& x, const Tensor& cond,
+                         nn::FwdCtx& ctx) const;
 
   ModelConfig cfg_;
-  Tensor posenc_;  // [H, W]
+  Tensor posenc_;          // [H, W]
+  Tensor posenc_windows_;  // posenc_ in layer 0's window order
   std::shared_ptr<nn::Linear> embed_;
   std::shared_ptr<nn::TimeEmbedding> time_embed_;
   std::vector<std::shared_ptr<SwinBlock>> blocks_;

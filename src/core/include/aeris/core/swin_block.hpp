@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+
 #include "aeris/nn/adaln.hpp"
 #include "aeris/nn/attention.hpp"
 #include "aeris/nn/rmsnorm.hpp"
@@ -40,6 +42,25 @@ class SwinBlock {
   /// B_win = B_samples * windows_per_sample.
   Tensor forward(const Tensor& x, const Tensor& cond,
                  std::int64_t windows_per_sample, nn::FwdCtx& ctx) const;
+
+  /// Inference scratch, allocated by the caller and shared by consecutive
+  /// blocks of one forward: `act` holds [rows, dim] floats, `wide`
+  /// [rows, workspace_width()].
+  struct Workspace {
+    float* act = nullptr;
+    float* wide = nullptr;
+  };
+  std::int64_t workspace_width() const {
+    return std::max(3 * cfg_.dim, 2 * cfg_.ffn_hidden);
+  }
+
+  /// Inference forward in place, the same bits as forward(): `x` holds
+  /// `rows` = B_win * T window tokens of dim floats and receives the
+  /// block's output. Each sublayer's normalization and modulation is one
+  /// pass into ws.act, and its gated residual is added into x in place.
+  void forward_into(float* x, std::int64_t rows, const Tensor& cond,
+                    std::int64_t windows_per_sample, const Workspace& ws,
+                    nn::FwdCtx& ctx) const;
 
   /// Returns dx; accumulates parameter grads and adds this block's
   /// conditioning gradient into `dcond`.

@@ -33,6 +33,31 @@ Tensor window_reverse(const Tensor& windows, std::int64_t h, std::int64_t w,
                       std::int64_t win_h, std::int64_t win_w,
                       std::int64_t shift);
 
+/// Row order of a batch of [H, W] token maps stored as [rows, C]: raster
+/// order over the grid (win_h == 0), or the window order window_partition
+/// produces after its cyclic shift.
+struct TokenOrder {
+  std::int64_t win_h = 0;  ///< 0: raster order
+  std::int64_t win_w = 0;
+  std::int64_t shift = 0;
+
+  static TokenOrder raster() { return {}; }
+  static TokenOrder windows(std::int64_t win_h, std::int64_t win_w,
+                            std::int64_t shift) {
+    return {win_h, win_w, shift};
+  }
+};
+
+/// Copies `batch` token maps of `c` channels from order `from` (in src) to
+/// order `to` (in dst) in one direct pass over the kernel pool, with no
+/// roll or intermediate copy. Raster to windows is window_partition per
+/// sample, windows to raster is window_reverse, and windows to windows is
+/// window_reverse followed by window_partition at the new shift. src and
+/// dst must not overlap.
+void reorder_tokens(const float* src, TokenOrder from, float* dst,
+                    TokenOrder to, std::int64_t batch, std::int64_t h,
+                    std::int64_t w, std::int64_t c);
+
 /// Number of windows for a grid.
 std::int64_t window_count(std::int64_t h, std::int64_t w, std::int64_t win_h,
                           std::int64_t win_w);

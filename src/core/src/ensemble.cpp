@@ -229,10 +229,10 @@ std::vector<std::vector<Tensor>> ParallelEnsembleEngine::ensemble_rollout(
   }
 
   // Multi-driver mode: each worker claims whole chunks and runs its
-  // kernels inline (SerialRegionGuard) — the shared ThreadPool holds a
-  // single job descriptor, so concurrent parallel_for dispatch from two
-  // drivers is not allowed, and inline execution is bitwise-identical
-  // anyway because every kernel splits only independent output rows.
+  // kernels inline (SerialRegionGuard) instead of racing the other drivers
+  // for the shared pool, which serves one job at a time; inline execution
+  // is bitwise-identical because every kernel splits only independent
+  // output rows.
   std::atomic<std::size_t> next_chunk{0};
   std::exception_ptr first_error;
   std::mutex err_mutex;

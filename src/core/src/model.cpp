@@ -1,9 +1,11 @@
 #include "aeris/core/model.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 #include "aeris/nn/cond_cache.hpp"
+#include "aeris/tensor/arena.hpp"
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::core {
@@ -28,11 +30,23 @@ void check_grid(const ModelConfig& cfg) {
   }
 }
 
+// The positional field in the first layer's window order.
+Tensor posenc_in_windows(const ModelConfig& cfg, const Tensor& posenc) {
+  check_grid(cfg);
+  Tensor out(posenc.shape());
+  reorder_tokens(posenc.data(), TokenOrder::raster(), out.data(),
+                 TokenOrder::windows(cfg.win_h, cfg.win_w,
+                                     cfg.shift_for_layer(0)),
+                 1, cfg.h, cfg.w, 1);
+  return out;
+}
+
 }  // namespace
 
 AerisModel::AerisModel(const ModelConfig& cfg, std::uint64_t seed)
     : cfg_(cfg),
       posenc_(nn::sinusoidal_posenc_2d(cfg.h, cfg.w)),
+      posenc_windows_(posenc_in_windows(cfg, posenc_)),
       embed_(std::make_shared<nn::Linear>("embed", cfg.in_channels, cfg.dim)),
       time_embed_(std::make_shared<nn::TimeEmbedding>("time",
                                                       cfg.time_features,
@@ -72,6 +86,7 @@ AerisModel::AerisModel(const ModelConfig& cfg, std::uint64_t seed)
 AerisModel::AerisModel(const ModelConfig& cfg, const AerisModel& backbone)
     : cfg_(cfg),
       posenc_(nn::sinusoidal_posenc_2d(cfg.h, cfg.w)),
+      posenc_windows_(posenc_in_windows(cfg, posenc_)),
       embed_(backbone.embed_),
       time_embed_(backbone.time_embed_),
       blocks_(backbone.blocks_),
@@ -194,6 +209,9 @@ Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
     if (uniform) ctx.set_cond_key(bits0);
   }
 
+  Tensor cond = time_embed_->forward(t, ctx);  // [B, cond_dim]
+  if (ctx.inference()) return forward_windows(x, cond, ctx);
+
   // Add the fixed 2D sinusoidal positional field to every channel.
   Tensor xin = x;
   for (std::int64_t b = 0; b < batch; ++b) {
@@ -207,7 +225,6 @@ Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
     }
   }
 
-  Tensor cond = time_embed_->forward(t, ctx);  // [B, cond_dim]
   Tensor tokens = embed_->forward(xin, ctx);   // [B, H, W, dim]
 
   for (std::int64_t l = 0; l < cfg_.depth; ++l) {
@@ -220,6 +237,62 @@ Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
 
   Tensor normed = final_norm_->forward(tokens, ctx);
   return head_->forward(normed, ctx);
+}
+
+Tensor AerisModel::forward_windows(const Tensor& x, const Tensor& cond,
+                                   nn::FwdCtx& ctx) const {
+  const std::int64_t batch = x.dim(0);
+  const std::int64_t h = cfg_.h, w = cfg_.w, hw = h * w;
+  const std::int64_t rows = batch * hw;
+  const std::int64_t c = cfg_.dim, cin = cfg_.in_channels;
+  auto order = [&](std::int64_t l) {
+    return TokenOrder::windows(cfg_.win_h, cfg_.win_w,
+                               cfg_.shift_for_layer(l));
+  };
+
+  // The whole forward's buffers, from the calling thread's arena: the
+  // input, the residual token stream and the blocks' shared workspace.
+  // ws.act doubles as the target of each layer's re-windowing, and ws.wide
+  // holds the head's output before the final scatter.
+  const std::int64_t wide =
+      std::max(cfg_.out_channels,
+               blocks_.empty() ? 0 : blocks_.front()->workspace_width());
+  ScratchArena& arena = ScratchArena::for_current_thread();
+  ScratchArena::Scope scope(arena);
+  float* xin = arena.alloc_floats(rows * cin);
+  float* tokens = arena.alloc_floats(rows * c);
+  SwinBlock::Workspace ws{arena.alloc_floats(rows * c),
+                          arena.alloc_floats(rows * wide)};
+
+  // Gather the input straight into the first layer's windows and add the
+  // positional field (kept in that order) to every channel.
+  TokenOrder cur = order(0);
+  reorder_tokens(x.data(), TokenOrder::raster(), xin, cur, batch, h, w, cin);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float pe = posenc_windows_[r % hw];
+    float* p = xin + r * cin;
+    for (std::int64_t ch = 0; ch < cin; ++ch) p[ch] += pe;
+  }
+  embed_->forward_into(xin, cin, rows, tokens, c, ctx);
+
+  for (std::int64_t l = 0; l < cfg_.depth; ++l) {
+    if (cfg_.shift_for_layer(l) != cur.shift) {
+      reorder_tokens(tokens, cur, ws.act, order(l), batch, h, w, c);
+      std::swap(tokens, ws.act);
+      cur = order(l);
+    }
+    blocks_[static_cast<std::size_t>(l)]->forward_into(
+        tokens, rows, cond, cfg_.windows(), ws, ctx);
+  }
+
+  // Norm and head are per token: run them in window order, then scatter
+  // the narrow head output back to the grid.
+  final_norm_->apply_into(tokens, rows, ws.act);
+  head_->forward_into(ws.act, c, rows, ws.wide, cfg_.out_channels, ctx);
+  Tensor out({batch, h, w, cfg_.out_channels});
+  reorder_tokens(ws.wide, cur, out.data(), TokenOrder::raster(), batch, h, w,
+                 cfg_.out_channels);
+  return out;
 }
 
 Tensor AerisModel::forward(const Tensor& x, const Tensor& t) const {

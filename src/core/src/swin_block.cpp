@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "aeris/tensor/arena.hpp"
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::core {
@@ -38,6 +39,23 @@ void SwinBlock::init(const Philox& rng, std::uint64_t index) {
 Tensor SwinBlock::forward(const Tensor& x, const Tensor& cond,
                           std::int64_t windows_per_sample,
                           nn::FwdCtx& ctx) const {
+  if (ctx.inference()) {
+    if (x.ndim() != 3 || x.dim(1) != cfg_.win_h * cfg_.win_w ||
+        x.dim(2) != cfg_.dim || cond.ndim() != 2 ||
+        x.dim(0) != cond.dim(0) * windows_per_sample) {
+      throw std::invalid_argument(
+          "SwinBlock: expected x [B_win, T, C] and cond "
+          "[B_win / windows_per_sample, cond_dim]");
+    }
+    const std::int64_t rows = x.numel() / cfg_.dim;
+    ScratchArena& arena = ScratchArena::for_current_thread();
+    ScratchArena::Scope scope(arena);
+    const Workspace ws{arena.alloc_floats(rows * cfg_.dim),
+                       arena.alloc_floats(rows * workspace_width())};
+    Tensor y = x;
+    forward_into(y.data(), rows, cond, windows_per_sample, ws, ctx);
+    return y;
+  }
   const std::int64_t wps = windows_per_sample;
   nn::AdaLNHead::Mod mod_a = adaln_attn_.forward(cond, ctx);
   nn::AdaLNHead::Mod mod_f = adaln_ffn_.forward(cond, ctx);
@@ -65,6 +83,31 @@ Tensor SwinBlock::forward(const Tensor& x, const Tensor& cond,
     cache.mod_f = std::move(mod_f);
   }
   return y;
+}
+
+void SwinBlock::forward_into(float* x, std::int64_t rows, const Tensor& cond,
+                             std::int64_t windows_per_sample,
+                             const Workspace& ws, nn::FwdCtx& ctx) const {
+  const std::int64_t c = cfg_.dim;
+  const std::int64_t rows_per_sample =
+      windows_per_sample * cfg_.win_h * cfg_.win_w;
+  const nn::AdaLNHead::Mod mod_a = adaln_attn_.forward(cond, ctx);
+  const nn::AdaLNHead::Mod mod_f = adaln_ffn_.forward(cond, ctx);
+
+  // h = x + gate_a * Attn(modulate(norm1(x))). The attention output lands
+  // in ws.wide, whose qkv contents are dead by then.
+  norm1_.apply_into(x, rows, ws.act, mod_a.scale.data(), mod_a.shift.data(),
+                    rows_per_sample);
+  attn_.forward_into(ws.act, rows, ws.wide, ws.act, ws.wide, ctx);
+  nn::apply_gate_inplace(x, ws.wide, rows, c, mod_a.gate.data(),
+                         rows_per_sample);
+
+  // y = h + gate_f * SwiGLU(modulate(norm2(h))).
+  norm2_.apply_into(x, rows, ws.act, mod_f.scale.data(), mod_f.shift.data(),
+                    rows_per_sample);
+  ffn_.forward_into(ws.act, rows, ws.wide, ws.act, ctx);
+  nn::apply_gate_inplace(x, ws.act, rows, c, mod_f.gate.data(),
+                         rows_per_sample);
 }
 
 Tensor SwinBlock::backward(const Tensor& dy, Tensor& dcond, nn::FwdCtx& ctx) {

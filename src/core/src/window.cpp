@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "aeris/tensor/thread_pool.hpp"
+
 namespace aeris::core {
 
 Tensor roll2d(const Tensor& x, std::int64_t dy, std::int64_t dx) {
@@ -75,6 +77,64 @@ Tensor window_reverse(const Tensor& windows, std::int64_t h, std::int64_t w,
     }
   }
   return shift != 0 ? roll2d(out, shift, shift) : out;
+}
+
+void reorder_tokens(const float* src, TokenOrder from, float* dst,
+                    TokenOrder to, std::int64_t batch, std::int64_t h,
+                    std::int64_t w, std::int64_t c) {
+  const std::int64_t hw = h * w;
+  const bool dst_windows = to.win_h > 0;
+  const bool src_windows = from.win_h > 0;
+  // window_count validates that the windows tile the grid.
+  if (dst_windows) window_count(h, w, to.win_h, to.win_w);
+  if (src_windows) window_count(h, w, from.win_h, from.win_w);
+  const std::int64_t to_wx = dst_windows ? w / to.win_w : 0;
+  const std::int64_t from_wx = src_windows ? w / from.win_w : 0;
+  const std::int64_t from_t = from.win_h * from.win_w;
+  // Work unit: a run of dst rows whose tokens share a grid row and sit at
+  // consecutive columns (mod W) — one window row, or one raster row.
+  const std::int64_t run = dst_windows ? to.win_w : w;
+  const std::int64_t runs_per_map = hw / run;
+  parallel_for(
+      batch * runs_per_map,
+      [&](std::int64_t k0, std::int64_t k1) {
+        for (std::int64_t k = k0; k < k1; ++k) {
+          const std::int64_t b = k / runs_per_map;
+          const std::int64_t j = k % runs_per_map;
+          float* out = dst + (b * hw + j * run) * c;
+          // Grid position of the run's first token.
+          std::int64_t y = j, x = 0;
+          if (dst_windows) {
+            const std::int64_t win = j / to.win_h, r = j % to.win_h;
+            y = ((win / to_wx) * to.win_h + r + to.shift) % h;
+            x = ((win % to_wx) * to.win_w + to.shift) % w;
+          }
+          if (!src_windows) {
+            const float* row = src + (b * hw + y * w) * c;
+            for (std::int64_t i = 0; i < run; ++i) {
+              std::copy_n(row + x * c, c, out + i * c);
+              if (++x == w) x = 0;
+            }
+            continue;
+          }
+          // Undo the source shift, then walk its windows along the row.
+          const std::int64_t gr = ((y - from.shift) % h + h) % h;
+          const std::int64_t gc = ((x - from.shift) % w + w) % w;
+          const std::int64_t row0 = b * hw +
+                                    (gr / from.win_h) * from_wx * from_t +
+                                    (gr % from.win_h) * from.win_w;
+          const float* row = src + row0 * c;
+          std::int64_t wcol = gc / from.win_w, cc = gc % from.win_w;
+          for (std::int64_t i = 0; i < run; ++i) {
+            std::copy_n(row + (wcol * from_t + cc) * c, c, out + i * c);
+            if (++cc == from.win_w) {
+              cc = 0;
+              if (++wcol == from_wx) wcol = 0;
+            }
+          }
+        }
+      },
+      grain_for_bytes(2 * run * c * static_cast<std::int64_t>(sizeof(float))));
 }
 
 Tensor field_to_tokens(const Tensor& field) {

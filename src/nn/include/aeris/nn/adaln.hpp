@@ -57,6 +57,13 @@ Tensor modulate_backward(const Tensor& x, const AdaLNHead::Mod& mod,
 Tensor apply_gate(const Tensor& x, const Tensor& y, const Tensor& gate,
                   std::int64_t windows_per_sample);
 
+/// x += gate ⊙ y in place over `rows` rows of `dim` floats, row r gated
+/// by gate row r / rows_per_sample, split over the kernel pool. The kernel
+/// behind apply_gate.
+void apply_gate_inplace(float* x, const float* y, std::int64_t rows,
+                        std::int64_t dim, const float* gate,
+                        std::int64_t rows_per_sample);
+
 /// Backward of apply_gate: given dout, computes dy and dgate (reduced),
 /// dx is just dout (caller adds).
 void apply_gate_backward(const Tensor& y, const Tensor& gate,

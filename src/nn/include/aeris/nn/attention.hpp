@@ -57,6 +57,14 @@ class WindowAttention {
   Tensor forward(const Tensor& x, FwdCtx& ctx) const;
   Tensor backward(const Tensor& dy, FwdCtx& ctx);
 
+  /// Inference forward into caller storage, the same bits as forward():
+  /// x [rows, dim] -> y [rows, dim], rows a multiple of tokens(). `qkv`
+  /// ([rows, 3*dim]) and `attn` ([rows, dim]) are scratch. `attn` may
+  /// alias `x` and `y` may alias `qkv`: each is dead before its alias is
+  /// written.
+  void forward_into(const float* x, std::int64_t rows, float* qkv,
+                    float* attn, float* y, const FwdCtx& ctx) const;
+
   void collect_params(ParamList& out);
   void collect_params(ConstParamList& out) const;
 
@@ -73,6 +81,7 @@ class WindowAttention {
   Linear proj_;
   AxialRope rope_;
   Tensor coords_;  // [T, 2] window-local
+  std::vector<float> rope_table_;  // rope_.table(coords_), built once
   LayerId id_;
 };
 

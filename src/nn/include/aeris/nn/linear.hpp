@@ -45,6 +45,12 @@ class Linear {
   /// fp32.
   Tensor apply_bf16(const Tensor& x) const;
 
+  /// Inference forward into caller storage, the same bits as forward():
+  /// y = x W^T + b over `rows` rows, x with row stride `ldx`, y with row
+  /// stride `ldy`. Honors the ctx's bf16 policy; retains nothing.
+  void forward_into(const float* x, std::int64_t ldx, std::int64_t rows,
+                    float* y, std::int64_t ldy, const FwdCtx& ctx) const;
+
   /// Drops the bf16 weight copy; called automatically by init/init_zero/
   /// backward. Owners that poke `weight().value` directly without a
   /// backward (tests, custom loaders) must call this before the next bf16
@@ -77,6 +83,10 @@ class Linear {
   };
 
   const Tensor& bf16_weights() const;
+  void check_input(const Tensor& x) const;
+  // The one GEMM + bias kernel behind apply, apply_bf16 and forward_into.
+  void gemm_into(const float* x, std::int64_t ldx, std::int64_t rows, float* y,
+                 std::int64_t ldy, bool bf16) const;
 
   std::int64_t in_ = 0;
   std::int64_t out_ = 0;

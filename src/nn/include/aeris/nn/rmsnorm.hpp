@@ -20,6 +20,15 @@ class RMSNorm {
   Tensor backward(const Tensor& dy, FwdCtx& ctx);
   Tensor apply(const Tensor& x) const;
 
+  /// Inference kernel behind apply(): normalizes `rows` rows of x into y
+  /// over the kernel pool. With `scale`/`shift` ([samples, dim]) each
+  /// normalized row is modulated in the same pass by its sample's fields,
+  /// y = norm(x) * (1 + scale) + shift with sample = row / rows_per_sample
+  /// — the same bits as apply() followed by nn::modulate().
+  void apply_into(const float* x, std::int64_t rows, float* y,
+                  const float* scale = nullptr, const float* shift = nullptr,
+                  std::int64_t rows_per_sample = 1) const;
+
   void collect_params(ParamList& out);
   void collect_params(ConstParamList& out) const;
 

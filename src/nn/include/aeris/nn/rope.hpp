@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "aeris/tensor/tensor.hpp"
 
 namespace aeris::nn {
@@ -27,6 +29,16 @@ class AxialRope {
   /// rotation (exactly the gradient of the forward rotation).
   void apply(Tensor& x, std::int64_t num_heads, const Tensor& coords,
              bool inverse = false) const;
+
+  /// The cos/sin table apply() uses for `coords` [T, 2]: per token and
+  /// axial frequency, (cos row, sin row, cos col, sin col). `inverse`
+  /// negates the angles. Callers with fixed coordinates build it once.
+  std::vector<float> table(const Tensor& coords, bool inverse = false) const;
+
+  /// Rotates one head in place: `t` tokens of head_dim floats, each
+  /// `row_stride` floats after the previous, by the rows of `table`.
+  void rotate(float* x, std::int64_t t, std::int64_t row_stride,
+              const float* table) const;
 
  private:
   std::int64_t head_dim_;

@@ -20,10 +20,21 @@ class SwiGLU {
   void init(const Philox& rng, std::uint64_t index);
 
   Tensor forward(const Tensor& x, FwdCtx& ctx) const;
+
+  /// Inference forward into caller storage, the same bits as forward():
+  /// x [rows, dim] -> y [rows, dim]. `gu` ([rows, 2*hidden]) is scratch:
+  /// the gate and up GEMMs write its two halves (row stride 2*hidden), the
+  /// activation overwrites the gate half and the down GEMM reads it in
+  /// place. `y` may alias `x`.
+  void forward_into(const float* x, std::int64_t rows, float* gu, float* y,
+                    const FwdCtx& ctx) const;
   Tensor backward(const Tensor& dy, FwdCtx& ctx);
 
   void collect_params(ParamList& out);
   void collect_params(ConstParamList& out) const;
+
+  std::int64_t dim() const { return gate_.in_features(); }
+  std::int64_t hidden() const { return gate_.out_features(); }
 
  private:
   Linear gate_;

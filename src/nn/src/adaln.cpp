@@ -4,6 +4,7 @@
 
 #include "aeris/nn/cond_cache.hpp"
 #include "aeris/tensor/ops.hpp"
+#include "aeris/tensor/thread_pool.hpp"
 
 namespace aeris::nn {
 
@@ -120,18 +121,30 @@ Tensor modulate_backward(const Tensor& x, const AdaLNHead::Mod& mod,
 Tensor apply_gate(const Tensor& x, const Tensor& y, const Tensor& gate,
                   std::int64_t windows_per_sample) {
   check_mod(x, gate, windows_per_sample);
-  const std::int64_t b = x.dim(0), t = x.dim(1), c = x.dim(2);
-  Tensor out(x.shape());
-  for (std::int64_t bb = 0; bb < b; ++bb) {
-    const float* pg = gate.data() + (bb / windows_per_sample) * c;
-    for (std::int64_t tok = 0; tok < t; ++tok) {
-      const std::int64_t off = (bb * t + tok) * c;
-      for (std::int64_t cc = 0; cc < c; ++cc) {
-        out[off + cc] = x[off + cc] + pg[cc] * y[off + cc];
-      }
-    }
+  if (y.shape() != x.shape()) {
+    throw std::invalid_argument("apply_gate: y must match x");
   }
+  const std::int64_t t = x.dim(1);
+  Tensor out = x;
+  apply_gate_inplace(out.data(), y.data(), x.dim(0) * t, x.dim(2),
+                     gate.data(), windows_per_sample * t);
   return out;
+}
+
+void apply_gate_inplace(float* x, const float* y, std::int64_t rows,
+                        std::int64_t dim, const float* gate,
+                        std::int64_t rows_per_sample) {
+  parallel_for(
+      rows,
+      [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          const float* pg = gate + (r / rows_per_sample) * dim;
+          float* px = x + r * dim;
+          const float* py = y + r * dim;
+          for (std::int64_t c = 0; c < dim; ++c) px[c] = px[c] + pg[c] * py[c];
+        }
+      },
+      grain_for_bytes(3 * dim * static_cast<std::int64_t>(sizeof(float))));
 }
 
 void apply_gate_backward(const Tensor& y, const Tensor& gate,

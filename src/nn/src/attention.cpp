@@ -35,12 +35,13 @@ constexpr std::int64_t kFusedMaxT = 256;
 /// nest by a wide margin even at dh = 8. Under the bf16 policy the GEMM
 /// operands (q, k, v and the unnormalized probabilities) are rounded at
 /// pack time; bf16_round is idempotent, so pre-rounded inputs pass through
-/// unchanged. Serial by design — the caller parallelizes over
+/// unchanged. q/k/v rows are `row_stride` floats apart, output rows
+/// `out_stride`. Serial by design — the caller parallelizes over
 /// (batch, head).
 void fused_head_forward(const float* q, const float* k, const float* v,
                         std::int64_t t, std::int64_t row_stride,
                         std::int64_t dh, float scale, GemmPrecision prec,
-                        float* out) {
+                        float* out, std::int64_t out_stride) {
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
   float* s = arena.alloc_floats(t * t);
@@ -76,9 +77,9 @@ void fused_head_forward(const float* q, const float* k, const float* v,
 
   // out = P @ V  (t x dh), unnormalized; then scale each row by 1/rowsum.
   gemm_serial(false, false, t, dh, t, 1.0f, s, t, v, row_stride, 0.0f, out,
-              row_stride, prec);
+              out_stride, prec);
   for (std::int64_t i = 0; i < t; ++i) {
-    float* dst = out + i * row_stride;
+    float* dst = out + i * out_stride;
     for (std::int64_t d = 0; d < dh; ++d) dst[d] *= inv[i];
   }
 }
@@ -96,7 +97,7 @@ struct AttnCache {
 void streaming_head_forward(const float* q, const float* k, const float* v,
                             std::int64_t t, std::int64_t row_stride,
                             std::int64_t dh, float scale, GemmPrecision prec,
-                            float* out) {
+                            float* out, std::int64_t out_stride) {
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
   const std::int64_t qb_max = std::min(kQBlock, t);
@@ -148,10 +149,25 @@ void streaming_head_forward(const float* q, const float* k, const float* v,
     }
     for (std::int64_t i = 0; i < qb; ++i) {
       const float inv = 1.0f / row_sum[i];
-      float* dst = out + (q0 + i) * row_stride;
+      float* dst = out + (q0 + i) * out_stride;
       const float* orow = oacc + i * dh;
       for (std::int64_t d = 0; d < dh; ++d) dst[d] = orow[d] * inv;
     }
+  }
+}
+
+/// One (batch, head) problem of the inference path: the fused kernel for
+/// window-sized sequences, the streaming one beyond.
+void head_forward(const float* q, const float* k, const float* v,
+                  std::int64_t t, std::int64_t row_stride, std::int64_t dh,
+                  float scale, GemmPrecision prec, float* out,
+                  std::int64_t out_stride) {
+  if (t <= kFusedMaxT) {
+    fused_head_forward(q, k, v, t, row_stride, dh, scale, prec, out,
+                       out_stride);
+  } else {
+    streaming_head_forward(q, k, v, t, row_stride, dh, scale, prec, out,
+                           out_stride);
   }
 }
 
@@ -177,20 +193,13 @@ Tensor attention_core_forward(const Tensor& q, const Tensor& k,
     // take the fused kernel, longer ones stream. Parallelize over the
     // independent (batch, head) problems; each chunk uses only its own
     // thread's arena and serial kernels.
-    const bool fused = t <= kFusedMaxT;
     parallel_for(b * heads, [&](std::int64_t h0, std::int64_t h1) {
       for (std::int64_t bh = h0; bh < h1; ++bh) {
         const std::int64_t bb = bh / heads;
         const std::int64_t h = bh % heads;
         const std::int64_t off = bb * t * c + h * dh;
-        if (fused) {
-          fused_head_forward(q.data() + off, k.data() + off, v.data() + off,
-                             t, c, dh, scale, prec, out.data() + off);
-        } else {
-          streaming_head_forward(q.data() + off, k.data() + off,
-                                 v.data() + off, t, c, dh, scale, prec,
-                                 out.data() + off);
-        }
+        head_forward(q.data() + off, k.data() + off, v.data() + off, t, c, dh,
+                     scale, prec, out.data() + off, c);
       }
     });
     return out;
@@ -259,7 +268,8 @@ WindowAttention::WindowAttention(std::string name, std::int64_t dim,
       qkv_(name + ".qkv", dim, 3 * dim, /*bias=*/true),
       proj_(name + ".proj", dim, dim, /*bias=*/true),
       rope_(dim / num_heads, rope_base),
-      coords_(window_coords(0, 0, win_h, win_w, win_h, win_w)) {
+      coords_(window_coords(0, 0, win_h, win_w, win_h, win_w)),
+      rope_table_(rope_.table(coords_)) {
   if (dim % num_heads != 0) {
     throw std::invalid_argument("WindowAttention: dim % heads != 0");
   }
@@ -277,19 +287,17 @@ Tensor WindowAttention::forward(const Tensor& x, FwdCtx& ctx) const {
                                 std::to_string(t) + "," + std::to_string(dim_) +
                                 "], got " + shape_to_string(x.shape()));
   }
-  Tensor qkv = qkv_.forward(x, ctx);  // [B, T, 3C]
-
   if (ctx.inference()) {
-    // Fused/streaming path: nothing retained, no [B,H,T,T] materialization.
-    Tensor q = slice(qkv, 2, 0, dim_);
-    Tensor k = slice(qkv, 2, dim_, 2 * dim_);
-    Tensor v = slice(qkv, 2, 2 * dim_, 3 * dim_);
-    rope_.apply(q, heads_, coords_);
-    rope_.apply(k, heads_, coords_);
-    Tensor attn_out =
-        attention_core_forward(q, k, v, heads_, nullptr, ctx.bf16_compute());
-    return proj_.forward(attn_out, ctx);
+    const std::int64_t rows = x.numel() / dim_;
+    ScratchArena& arena = ScratchArena::for_current_thread();
+    ScratchArena::Scope scope(arena);
+    float* qkv = arena.alloc_floats(rows * 3 * dim_);
+    float* attn = arena.alloc_floats(rows * dim_);
+    Tensor y(x.shape());
+    forward_into(x.data(), rows, qkv, attn, y.data(), ctx);
+    return y;
   }
+  Tensor qkv = qkv_.forward(x, ctx);  // [B, T, 3C]
 
   AttnCache& cache = ctx.slot<AttnCache>(id_);
   cache.q = slice(qkv, 2, 0, dim_);
@@ -301,6 +309,34 @@ Tensor WindowAttention::forward(const Tensor& x, FwdCtx& ctx) const {
   Tensor attn_out =
       attention_core_forward(cache.q, cache.k, cache.v, heads_, &cache.probs);
   return proj_.forward(attn_out, ctx);
+}
+
+void WindowAttention::forward_into(const float* x, std::int64_t rows,
+                                   float* qkv, float* attn, float* y,
+                                   const FwdCtx& ctx) const {
+  const std::int64_t t = tokens();
+  const std::int64_t c = dim_;
+  const std::int64_t dh = head_dim();
+  const std::int64_t b = rows / t;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const GemmPrecision prec = ctx.bf16_compute() ? GemmPrecision::kBF16
+                                                : default_gemm_precision();
+  qkv_.forward_into(x, c, rows, qkv, 3 * c, ctx);
+  // Each (window, head) problem rotates its own q and k slices in place
+  // inside the qkv buffer, then attends straight from it (rows 3C apart).
+  // Nothing retained, no [B,H,T,T] materialization.
+  parallel_for(b * heads_, [&](std::int64_t h0, std::int64_t h1) {
+    for (std::int64_t bh = h0; bh < h1; ++bh) {
+      const std::int64_t bb = bh / heads_;
+      const std::int64_t h = bh % heads_;
+      float* q = qkv + bb * t * 3 * c + h * dh;
+      rope_.rotate(q, t, 3 * c, rope_table_.data());
+      rope_.rotate(q + c, t, 3 * c, rope_table_.data());
+      head_forward(q, q + c, q + 2 * c, t, 3 * c, dh, scale, prec,
+                   attn + bb * t * c + h * dh, c);
+    }
+  });
+  proj_.forward_into(attn, c, rows, y, c, ctx);
 }
 
 Tensor WindowAttention::backward(const Tensor& dy, FwdCtx& ctx) {

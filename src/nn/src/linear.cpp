@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "aeris/tensor/bf16.hpp"
+#include "aeris/tensor/thread_pool.hpp"
 
 namespace aeris::nn {
 namespace {
@@ -89,48 +90,62 @@ const Tensor& Linear::bf16_weights() const {
   return p.rounded;
 }
 
-Tensor Linear::apply(const Tensor& x) const {
+void Linear::check_input(const Tensor& x) const {
   if (x.dim(-1) != in_) {
     throw std::invalid_argument(w_.name + ": expected last dim " +
                                 std::to_string(in_) + ", got " +
                                 shape_to_string(x.shape()));
   }
+}
+
+void Linear::gemm_into(const float* x, std::int64_t ldx, std::int64_t rows,
+                       float* y, std::int64_t ldy, bool bf16) const {
+  // y = x @ W^T. Under bf16 (kBF16A) the activation is rounded during
+  // packing; the weight copy was rounded once at build time and must not
+  // be rounded again.
+  if (bf16) {
+    gemm(false, true, rows, out_, in_, 1.0f, x, ldx, bf16_weights().data(),
+         in_, 0.0f, y, ldy, GemmPrecision::kBF16A);
+  } else {
+    gemm(false, true, rows, out_, in_, 1.0f, x, ldx, w_.value.data(), in_,
+         0.0f, y, ldy, default_gemm_precision());
+  }
+  if (!has_bias_) return;
+  const float* pb = b_.value.data();
+  parallel_for(
+      rows,
+      [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          float* py = y + r * ldy;
+          for (std::int64_t c = 0; c < out_; ++c) py[c] += pb[c];
+        }
+      },
+      grain_for_bytes(2 * out_ * static_cast<std::int64_t>(sizeof(float))));
+}
+
+Tensor Linear::apply(const Tensor& x) const {
+  check_input(x);
   const std::int64_t rows = x.numel() / in_;
   Tensor y(with_last(x.shape(), out_));
-  // y = x @ W^T in the configured mixed precision.
-  gemm(false, true, rows, out_, in_, 1.0f, x.data(), in_, w_.value.data(), in_,
-       0.0f, y.data(), out_, default_gemm_precision());
-  if (has_bias_) {
-    float* py = y.data();
-    const float* pb = b_.value.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < out_; ++c) py[r * out_ + c] += pb[c];
-    }
-  }
+  gemm_into(x.data(), in_, rows, y.data(), out_, /*bf16=*/false);
   return y;
 }
 
 Tensor Linear::apply_bf16(const Tensor& x) const {
-  if (x.dim(-1) != in_) {
-    throw std::invalid_argument(w_.name + ": expected last dim " +
-                                std::to_string(in_) + ", got " +
-                                shape_to_string(x.shape()));
-  }
+  check_input(x);
   const std::int64_t rows = x.numel() / in_;
   Tensor y(with_last(x.shape(), out_));
-  // kBF16A: the activation is rounded during packing; the weight copy was
-  // rounded once at build time and must not be rounded again.
-  const Tensor& wr = bf16_weights();
-  gemm(false, true, rows, out_, in_, 1.0f, x.data(), in_, wr.data(), in_,
-       0.0f, y.data(), out_, GemmPrecision::kBF16A);
-  if (has_bias_) {
-    float* py = y.data();
-    const float* pb = b_.value.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < out_; ++c) py[r * out_ + c] += pb[c];
-    }
-  }
+  gemm_into(x.data(), in_, rows, y.data(), out_, /*bf16=*/true);
   return y;
+}
+
+void Linear::forward_into(const float* x, std::int64_t ldx, std::int64_t rows,
+                          float* y, std::int64_t ldy,
+                          const FwdCtx& ctx) const {
+  if (!ctx.inference()) {
+    throw std::logic_error(w_.name + ": forward_into is inference-only");
+  }
+  gemm_into(x, ldx, rows, y, ldy, bf16_eligible_ && ctx.bf16_compute());
 }
 
 Tensor Linear::forward(const Tensor& x, FwdCtx& ctx) const {

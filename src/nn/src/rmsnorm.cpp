@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "aeris/tensor/thread_pool.hpp"
+
 namespace aeris::nn {
 namespace {
 
@@ -25,19 +27,42 @@ RMSNorm::RMSNorm(std::string name, std::int64_t dim, bool elementwise_affine,
 
 Tensor RMSNorm::apply(const Tensor& x) const {
   if (x.dim(-1) != dim_) throw std::invalid_argument("RMSNorm: bad last dim");
-  const std::int64_t rows = x.numel() / dim_;
   Tensor y(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* px = x.data() + r * dim_;
-    float* py = y.data() + r * dim_;
-    double ss = 0.0;
-    for (std::int64_t c = 0; c < dim_; ++c) ss += static_cast<double>(px[c]) * px[c];
-    const float inv = 1.0f / std::sqrt(static_cast<float>(ss / dim_) + eps_);
-    for (std::int64_t c = 0; c < dim_; ++c) {
-      py[c] = px[c] * inv * (affine_ ? g_.value[c] : 1.0f);
-    }
-  }
+  apply_into(x.data(), x.numel() / dim_, y.data());
   return y;
+}
+
+void RMSNorm::apply_into(const float* x, std::int64_t rows, float* y,
+                         const float* scale, const float* shift,
+                         std::int64_t rows_per_sample) const {
+  parallel_for(
+      rows,
+      [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          const float* px = x + r * dim_;
+          float* py = y + r * dim_;
+          double ss = 0.0;
+          for (std::int64_t c = 0; c < dim_; ++c) {
+            ss += static_cast<double>(px[c]) * px[c];
+          }
+          const float inv =
+              1.0f / std::sqrt(static_cast<float>(ss / dim_) + eps_);
+          if (scale == nullptr) {
+            for (std::int64_t c = 0; c < dim_; ++c) {
+              py[c] = px[c] * inv * (affine_ ? g_.value[c] : 1.0f);
+            }
+            continue;
+          }
+          const std::int64_t s = r / rows_per_sample;
+          const float* psc = scale + s * dim_;
+          const float* psh = shift + s * dim_;
+          for (std::int64_t c = 0; c < dim_; ++c) {
+            const float n = px[c] * inv * (affine_ ? g_.value[c] : 1.0f);
+            py[c] = n * (1.0f + psc[c]) + psh[c];
+          }
+        }
+      },
+      grain_for_bytes(2 * dim_ * static_cast<std::int64_t>(sizeof(float))));
 }
 
 Tensor RMSNorm::forward(const Tensor& x, FwdCtx& ctx) const {

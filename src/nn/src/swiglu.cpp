@@ -2,8 +2,10 @@
 
 #include <cmath>
 
+#include "aeris/tensor/arena.hpp"
 #include "aeris/tensor/fastmath.hpp"
 #include "aeris/tensor/ops.hpp"
+#include "aeris/tensor/thread_pool.hpp"
 
 #include <stdexcept>
 
@@ -37,20 +39,24 @@ void SwiGLU::init(const Philox& rng, std::uint64_t index) {
 }
 
 Tensor SwiGLU::forward(const Tensor& x, FwdCtx& ctx) const {
+  if (ctx.inference()) {
+    if (x.dim(-1) != dim()) {
+      throw std::invalid_argument("SwiGLU: expected last dim " +
+                                  std::to_string(dim()) + ", got " +
+                                  shape_to_string(x.shape()));
+    }
+    const std::int64_t rows = x.numel() / dim();
+    ScratchArena& arena = ScratchArena::for_current_thread();
+    ScratchArena::Scope scope(arena);
+    float* gu = arena.alloc_floats(rows * 2 * hidden());
+    Tensor y(x.shape());
+    forward_into(x.data(), rows, gu, y.data(), ctx);
+    return y;
+  }
   Tensor gate_pre = gate_.forward(x, ctx);
   Tensor up = up_.forward(x, ctx);
   Tensor h(gate_pre.shape());
   const std::int64_t n = h.numel();
-  if (ctx.inference()) {
-    // Inference-only activation: polynomial exp, vectorizable. Training
-    // keeps the std::exp silu below — its bit-exact goldens must not move.
-    const float* pg = gate_pre.data();
-    const float* pu = up.data();
-    float* ph = h.data();
-#pragma omp simd
-    for (std::int64_t i = 0; i < n; ++i) ph[i] = fast_siluf(pg[i]) * pu[i];
-    return down_.forward(h, ctx);
-  }
   for (std::int64_t i = 0; i < n; ++i) {
     h[i] = silu(gate_pre[i]) * up[i];
   }
@@ -60,6 +66,31 @@ Tensor SwiGLU::forward(const Tensor& x, FwdCtx& ctx) const {
     cache.up = std::move(up);
   }
   return down_.forward(h, ctx);
+}
+
+void SwiGLU::forward_into(const float* x, std::int64_t rows, float* gu,
+                          float* y, const FwdCtx& ctx) const {
+  const std::int64_t d = dim(), hid = hidden();
+  // Both branches land in one [rows, 2*hidden] buffer: gate | up.
+  gate_.forward_into(x, d, rows, gu, 2 * hid, ctx);
+  up_.forward_into(x, d, rows, gu + hid, 2 * hid, ctx);
+  // silu(gate) * up overwrites the gate half in place. Inference-only
+  // activation: polynomial exp, vectorizable. Training keeps the std::exp
+  // silu — its bit-exact goldens must not move.
+  parallel_for(
+      rows,
+      [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          float* pg = gu + r * 2 * hid;
+          const float* pu = pg + hid;
+#pragma omp simd
+          for (std::int64_t i = 0; i < hid; ++i) {
+            pg[i] = fast_siluf(pg[i]) * pu[i];
+          }
+        }
+      },
+      grain_for_bytes(3 * hid * static_cast<std::int64_t>(sizeof(float))));
+  down_.forward_into(gu, 2 * hid, rows, y, d, ctx);
 }
 
 Tensor SwiGLU::backward(const Tensor& dy, FwdCtx& ctx) {

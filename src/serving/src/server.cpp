@@ -70,9 +70,9 @@ ForecastResult ForecastServer::forecast(const ForecastRequest& req) {
 }
 
 void ForecastServer::worker_loop(int worker_index) {
-  // With several workers the shared kernel pool cannot be dispatched to
-  // concurrently (single job descriptor); each worker runs its kernels
-  // inline, which is bitwise-identical (kernels split independent rows).
+  // With several workers, each runs its kernels inline instead of racing
+  // the others for the shared pool (one job at a time); inline execution
+  // is bitwise-identical (kernels split independent rows).
   std::unique_ptr<SerialRegionGuard> guard;
   if (ledger_.options().workers > 1) {
     guard = std::make_unique<SerialRegionGuard>();

@@ -35,8 +35,8 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 /// Same contract as gemm() but never dispatches to the thread pool. For
 /// callers that are themselves running inside a parallel_for chunk (e.g.
 /// the streaming attention path parallelizes over heads and runs one
-/// serial GEMM per tile) — nesting pool dispatches would deadlock a
-/// single-worker pool and oversubscribe a busy one.
+/// serial GEMM per tile) — a nested dispatch would only find the pool
+/// busy and run inline after paying the check.
 void gemm_serial(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                  std::int64_t k, float alpha, const float* a, std::int64_t lda,
                  const float* b, std::int64_t ldb, float beta, float* c,

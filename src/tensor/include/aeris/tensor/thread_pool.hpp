@@ -20,6 +20,11 @@ namespace aeris {
 /// the fork-join cost is one notify plus one atomic claim per chunk. The
 /// `grain` parameter lets small kernels run inline instead of paying even
 /// that.
+///
+/// The pool runs one job at a time. A dispatcher that finds it busy —
+/// another thread is mid-job, or a chunk body dispatches recursively —
+/// runs its range inline on its own thread, so any number of threads may
+/// call parallel_for concurrently.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -33,8 +38,8 @@ class ThreadPool {
   /// Runs fn(begin, end) over [0, n) split into chunks of at least
   /// min(grain, n) iterations, blocking until all chunks complete.
   /// Exceptions from chunks propagate (the first one captured is rethrown
-  /// on the caller). When n <= grain or the pool has one thread the call
-  /// runs inline with zero synchronization.
+  /// on the caller). When n <= grain, the pool has one thread or another
+  /// job holds the pool, the call runs inline.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t, std::int64_t)>& fn,
                     std::int64_t grain = 1);
@@ -48,6 +53,7 @@ class ThreadPool {
   void run_chunks();
 
   std::vector<std::thread> workers_;
+  std::atomic<bool> busy_{false};  // a job is published and not yet joined
   std::mutex mutex_;  // guards job publication + epoch/stop signaling
   std::condition_variable cv_;       // workers: "a new job was published"
   std::condition_variable done_cv_;  // caller: "the last chunk finished"
@@ -78,18 +84,22 @@ void parallel_for(std::int64_t n,
                   const std::function<void(std::int64_t, std::int64_t)>& fn,
                   std::int64_t grain = 1);
 
+/// Grain for a memory-bound loop whose iterations each read and write
+/// `bytes_per_item` bytes: every chunk touches at least 1 MiB, so a pass
+/// touching less (a norm over one 32x64 member at dim 64, any pass over a
+/// small serving pack) runs inline and only larger passes pay a pool
+/// wake-up.
+std::int64_t grain_for_bytes(std::int64_t bytes_per_item);
+
 /// While alive on a thread, every parallel_for issued from that thread runs
 /// inline on the caller instead of dispatching to the pool.
 ///
-/// This is the concurrency contract for application-level threading (e.g.
-/// the parallel ensemble engine, whose workers each run whole forward
-/// passes): the pool holds a *single* job descriptor, so two threads
-/// dispatching concurrently would overwrite each other's job. Workers wrap
-/// themselves in a SerialRegionGuard and keep every kernel on their own
-/// thread. Results are unchanged: kernels split only independent output
-/// rows across chunks (GEMM M-strips, attention (batch, head) problems,
-/// norm rows), so inline execution is bitwise-identical to pooled
-/// execution.
+/// Application-level threading (e.g. the parallel ensemble engine, whose
+/// workers each run whole forward passes) uses it to keep every kernel on
+/// its own thread instead of racing the other workers for the pool.
+/// Results are unchanged: kernels split only independent output rows
+/// across chunks (GEMM M-strips, attention (batch, head) problems, norm
+/// rows), so inline execution is bitwise-identical to pooled execution.
 ///
 /// Guards nest; the region ends when the outermost guard is destroyed.
 class SerialRegionGuard {

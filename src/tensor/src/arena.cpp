@@ -19,8 +19,10 @@ void ScratchArena::grow(std::size_t bytes) {
   // blocks; each block is a growth event visible in heap_block_count().
   std::size_t size = std::max(kMinBlockBytes, capacity_);
   size = std::max(size, bytes);
+  // Left uninitialized (alloc_floats promises nothing else): pages the
+  // kernels never touch stay out of the resident set.
   Block block;
-  block.data = std::make_unique<std::byte[]>(size + kAlign);
+  block.data = std::make_unique_for_overwrite<std::byte[]>(size + kAlign);
   block.size = size;
   capacity_ += size;
   ++heap_blocks_;

@@ -99,6 +99,20 @@ void ThreadPool::parallel_for(
     return;
   }
 
+  // One job at a time: a dispatcher that finds the pool busy (another
+  // thread mid-job, or a chunk body dispatching recursively) runs its
+  // whole range inline. Chunks split only independent iterations, so the
+  // result is the same either way.
+  bool idle = false;
+  if (!busy_.compare_exchange_strong(idle, true, std::memory_order_acquire)) {
+    fn(0, n);
+    return;
+  }
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } release{busy_};
+
   std::int64_t limit;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -133,6 +147,12 @@ void parallel_for(std::int64_t n,
                   const std::function<void(std::int64_t, std::int64_t)>& fn,
                   std::int64_t grain) {
   ThreadPool::global().parallel_for(n, fn, grain);
+}
+
+std::int64_t grain_for_bytes(std::int64_t bytes_per_item) {
+  constexpr std::int64_t kMinChunkBytes = std::int64_t{1} << 20;
+  return std::max<std::int64_t>(
+      1, kMinChunkBytes / std::max<std::int64_t>(1, bytes_per_item));
 }
 
 }  // namespace aeris

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "aeris/tensor/ops.hpp"
 #include "aeris/tensor/rng.hpp"
 
@@ -12,6 +15,48 @@ Tensor arange_tokens(std::int64_t h, std::int64_t w, std::int64_t c) {
   Tensor x({h, w, c});
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
   return x;
+}
+
+bool same_bits(const float* a, const Tensor& b) {
+  return std::memcmp(a, b.data(),
+                     sizeof(float) * static_cast<std::size_t>(b.numel())) == 0;
+}
+
+// reorder_tokens over a batch of `e` maps must equal the per-sample
+// window_partition / window_reverse (roll2d included) exactly, in all
+// three directions: raster -> windows, windows -> raster, and the
+// windows -> windows step between two layers' shifts.
+void expect_reorder_matches(std::int64_t h, std::int64_t w, std::int64_t win_h,
+                            std::int64_t win_w, std::int64_t e,
+                            std::int64_t s_from, std::int64_t s_to) {
+  const std::int64_t c = 3;
+  Tensor maps({e, h, w, c});
+  Philox(5).fill_normal(maps, 1, static_cast<std::uint64_t>(e));
+  const TokenOrder raster = TokenOrder::raster();
+  const TokenOrder from = TokenOrder::windows(win_h, win_w, s_from);
+  const TokenOrder to = TokenOrder::windows(win_h, win_w, s_to);
+  Tensor wins_from(maps.shape()), wins_to(maps.shape()), back(maps.shape());
+  reorder_tokens(maps.data(), raster, wins_from.data(), from, e, h, w, c);
+  reorder_tokens(wins_from.data(), from, wins_to.data(), to, e, h, w, c);
+  reorder_tokens(wins_to.data(), to, back.data(), raster, e, h, w, c);
+  const std::int64_t per = h * w * c;
+  for (std::int64_t i = 0; i < e; ++i) {
+    const Tensor map =
+        slice(maps, 0, i, i + 1).reshaped({h, w, c});
+    const Tensor part_from = window_partition(map, win_h, win_w, s_from);
+    const Tensor part_to = window_partition(
+        window_reverse(part_from, h, w, win_h, win_w, s_from), win_h, win_w,
+        s_to);
+    const Tensor rev = window_reverse(part_to, h, w, win_h, win_w, s_to);
+    const std::string where = "sample " + std::to_string(i) + " of " +
+                              std::to_string(e) + ", shifts " +
+                              std::to_string(s_from) + "->" +
+                              std::to_string(s_to);
+    EXPECT_TRUE(same_bits(wins_from.data() + i * per, part_from)) << where;
+    EXPECT_TRUE(same_bits(wins_to.data() + i * per, part_to)) << where;
+    EXPECT_TRUE(same_bits(back.data() + i * per, rev)) << where;
+    EXPECT_TRUE(same_bits(back.data() + i * per, map)) << where;
+  }
 }
 
 TEST(Roll2D, ZeroShiftIsIdentity) {
@@ -64,6 +109,7 @@ TEST(WindowPartition, ReverseRoundTripNoShift) {
   rng.fill_normal(x, 1, 0);
   Tensor wins = window_partition(x, 4, 4, 0);
   EXPECT_TRUE(window_reverse(wins, 8, 16, 4, 4, 0).allclose(x));
+  for (std::int64_t e : {1, 3}) expect_reorder_matches(8, 16, 4, 4, e, 0, 0);
 }
 
 TEST(WindowPartition, ReverseRoundTripWithShift) {
@@ -74,6 +120,17 @@ TEST(WindowPartition, ReverseRoundTripWithShift) {
     Tensor wins = window_partition(x, 4, 4, shift);
     EXPECT_TRUE(window_reverse(wins, 8, 16, 4, 4, shift).allclose(x))
         << "shift " << shift;
+  }
+  // Every pair of layer shifts {0, win/2}^2, square and oblong windows.
+  const std::int64_t wins_hw[][2] = {{4, 4}, {4, 8}};
+  for (const auto& hw : wins_hw) {
+    for (std::int64_t e : {1, 3}) {
+      for (std::int64_t s_from : {std::int64_t{0}, hw[0] / 2}) {
+        for (std::int64_t s_to : {std::int64_t{0}, hw[0] / 2}) {
+          expect_reorder_matches(8, 16, hw[0], hw[1], e, s_from, s_to);
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "aeris/tensor/arena.hpp"
 #include "aeris/tensor/ops.hpp"
+#include "aeris/tensor/thread_pool.hpp"
 #include "gradcheck.hpp"
 
 namespace aeris::nn {
@@ -137,6 +138,10 @@ TEST(AttentionCore, StreamingMatchesCachedPath) {
 TEST(AttentionCore, StreamingNeverMaterializesProbs) {
   // Arena watermark bound: the streaming path's scratch high watermark must
   // stay far below the [B,H,T,T] probability tensor it replaces.
+  // Every (batch, head) problem runs on this thread, whose arena is the one
+  // inspected; pooled, the warm-up could leave it cold when workers claim
+  // every chunk, and the second call would then grow it.
+  SerialRegionGuard on_this_thread;
   const std::int64_t b = 8, t = 64, c = 32, heads = 4;
   Philox rng(22);
   Tensor q({b, t, c}), k({b, t, c}), v({b, t, c});

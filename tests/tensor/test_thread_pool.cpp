@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <utility>
@@ -146,6 +147,69 @@ TEST(ThreadPool, ManyBackToBackDispatches) {
     });
     ASSERT_EQ(count.load(), 97) << "round " << round;
   }
+}
+
+// A per-element value with enough float arithmetic that a chunk split
+// across threads or a lost/duplicated chunk would show in the bits.
+float element(std::int64_t i, int salt) {
+  float v = static_cast<float>(i % 97) * 0.37f + static_cast<float>(salt);
+  for (int k = 0; k < 8; ++k) v = v * 1.0001f + 0.5f / (1.0f + v);
+  return v;
+}
+
+TEST(ThreadPool, ConcurrentDispatchersMatchSerialBitwise) {
+  // Several threads dispatch to one pool at once, with mixed sizes and
+  // grains, some chunk bodies dispatching again. Losers of the race for
+  // the pool run inline; every result must equal the serial one.
+  ThreadPool pool(4);
+  constexpr int kDispatchers = 6;
+  constexpr int kRounds = 40;
+  const std::int64_t sizes[] = {1, 7, 64, 1000, 4096};
+  const std::int64_t grains[] = {1, 3, 16, 256};
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int d = 0; d < kDispatchers; ++d) {
+    threads.emplace_back([&, d] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::int64_t n = sizes[(d + round) % 5];
+        const std::int64_t grain = grains[(d * 3 + round) % 4];
+        const bool nested = (d + round) % 3 == 0;
+        const int salt = d * 1000 + round;
+        std::vector<float> out(static_cast<std::size_t>(n), 0.0f);
+        pool.parallel_for(
+            n,
+            [&](std::int64_t b, std::int64_t e) {
+              if (nested) {
+                pool.parallel_for(e - b, [&](std::int64_t nb, std::int64_t ne) {
+                  for (std::int64_t i = b + nb; i < b + ne; ++i) {
+                    out[static_cast<std::size_t>(i)] = element(i, salt);
+                  }
+                });
+                return;
+              }
+              for (std::int64_t i = b; i < e; ++i) {
+                out[static_cast<std::size_t>(i)] = element(i, salt);
+              }
+            },
+            grain);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float want = element(i, salt);
+          if (std::memcmp(&out[static_cast<std::size_t>(i)], &want,
+                          sizeof(float)) != 0) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ThreadPool, GrainForBytesKeepsSmallPassesInline) {
+  EXPECT_EQ(grain_for_bytes(512), 2048);  // 2048 rows x 512 B = 1 MiB
+  EXPECT_EQ(grain_for_bytes(0), std::int64_t{1} << 20);
+  EXPECT_EQ(grain_for_bytes(std::int64_t{1} << 30), 1);
 }
 
 TEST(ThreadPool, GlobalPoolWorks) {
