@@ -1,16 +1,23 @@
-// Inference-forward goldens: FNV-1a hashes of the output bits of
+// Inference goldens: FNV-1a hashes of the output bits of
 // AerisModel::forward on the library-default ModelConfig, for one member
-// and a stack of four, in fp32 and under the bf16 compute policy.
+// and a stack of four, in fp32 and under the bf16 compute policy; of one
+// DiffusionForecaster::forecast_step per sampler family (TrigFlow with
+// churn, EDM, two-step consistency) on a small model; and of two
+// ConsistencyDistiller::distill_step losses.
 //
 // The ensemble, server and cluster bitwise suites compare two paths
-// through the same kernels, so a kernel change that moved bits would pass
-// them all; these hashes pin the bits themselves. Any change to the
-// inference kernels must leave them unchanged.
+// through the same kernels and sampler loops, so a change that moved bits
+// in both would pass them all; these hashes pin the bits themselves. Any
+// change to the inference kernels, the sampler loops or the distiller
+// update must leave them unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "aeris/core/distill.hpp"
+#include "aeris/core/forecaster.hpp"
 #include "aeris/core/model.hpp"
 #include "aeris/tensor/ops.hpp"
 
@@ -55,6 +62,50 @@ std::uint64_t forward_hash(const AerisModel& model, std::int64_t members,
   return fnv1a(model.forward(x, t, nullptr, prec));
 }
 
+// A small model (two variables, one forcing channel) with its zero-init
+// heads filled like golden_model, for the forecaster and distiller goldens.
+ModelConfig small_cfg() {
+  ModelConfig c;
+  c.h = 16;
+  c.w = 16;
+  c.out_channels = 2;
+  c.in_channels = 2 * 2 + 1;
+  c.dim = 32;
+  c.depth = 2;
+  c.heads = 2;
+  c.ffn_hidden = 64;
+  c.win_h = 8;
+  c.win_w = 8;
+  c.cond_dim = 16;
+  c.time_features = 8;
+  return c;
+}
+
+AerisModel small_model() {
+  AerisModel model(small_cfg(), 13);
+  Philox rng(13);
+  std::uint64_t key = 0;
+  for (nn::Param* p : model.params()) {
+    if (p->name.find("adaln") != std::string::npos ||
+        p->name.find("head") != std::string::npos) {
+      rng.fill_normal(p->value, 9, key++);
+      scale_(p->value, 0.2f);
+    }
+  }
+  return model;
+}
+
+// One forecast step of member 3 at step 5, so the hash also pins how the
+// forecaster composes its noise key from (member, step).
+std::uint64_t forecast_hash(DiffusionForecaster& fc) {
+  fc.set_infer_precision(nn::InferPrecision::kFp32);
+  Tensor prev({16, 16, 2});
+  Philox(17).fill_normal(prev, 1, 0);
+  Tensor forcings({16, 16, 1});
+  Philox(17).fill_normal(forcings, 2, 0);
+  return fnv1a(fc.forecast_step(prev, forcings, 3, 5));
+}
+
 class InferenceGolden : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -87,6 +138,52 @@ TEST_F(InferenceGolden, Bf16OneMember) {
 TEST_F(InferenceGolden, Bf16FourMembers) {
   EXPECT_EQ(forward_hash(golden_model(), 4, nn::InferPrecision::kBf16),
             0x354637e3ddd26de1ull);
+}
+
+TEST_F(InferenceGolden, ForecastStepTrigFlowChurn) {
+  const AerisModel model = small_model();
+  DiffusionForecaster fc(model, TrigFlowConfig{},
+                         TrigSamplerConfig{.steps = 4, .churn = 0.5f}, 21);
+  EXPECT_EQ(forecast_hash(fc), 0xa269033711fa4308ull);
+}
+
+TEST_F(InferenceGolden, ForecastStepEdm) {
+  const AerisModel model = small_model();
+  DiffusionForecaster fc(model, EdmConfig{}, EdmSamplerConfig{.steps = 3}, 21);
+  EXPECT_EQ(forecast_hash(fc), 0xe68d1ec7f5aa9e5bull);
+}
+
+TEST_F(InferenceGolden, ForecastStepConsistencyTwoSteps) {
+  const AerisModel model = small_model();
+  DiffusionForecaster fc(model, TrigFlowConfig{},
+                         ConsistencySamplerConfig{.steps = 2}, 21);
+  EXPECT_EQ(forecast_hash(fc), 0x6519e727bf4ecf01ull);
+}
+
+TEST_F(InferenceGolden, DistillStepLosses) {
+  const AerisModel teacher = small_model();
+  AerisModel student(small_cfg(), 99);
+  DistillConfig dc;
+  dc.teacher.steps = 4;
+  dc.schedule.peak = 2e-3f;
+  dc.schedule.warmup = 4;
+  dc.schedule.total = 1'000'000;
+  dc.schedule.decay = 10;
+  dc.ema_half_life = 32.0f;
+  dc.seed = 5;
+  ConsistencyDistiller distiller(student, teacher, dc);
+  std::vector<TrainExample> batch(2);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].prev = Tensor({16, 16, 2});
+    Philox(23).fill_normal(batch[i].prev, 1, i);
+    batch[i].target = Tensor({16, 16, 2});
+    Philox(23).fill_normal(batch[i].target, 2, i);
+    batch[i].forcings = Tensor({16, 16, 1}, 0.5f);
+  }
+  Tensor losses({2});
+  losses[0] = distiller.distill_step(batch);
+  losses[1] = distiller.distill_step(batch);
+  EXPECT_EQ(fnv1a(losses), 0xb4ce54cddb2ff166ull);
 }
 
 }  // namespace
