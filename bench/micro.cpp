@@ -935,11 +935,12 @@ void BM_TrigflowSamplerStep(benchmark::State& state) {
   };
   core::TrigSamplerConfig cfg;
   cfg.steps = 6;
-  Philox rng(6);
-  std::uint64_t member = 0;
+  core::MemberKey key{6, 0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::sample_trigflow(velocity, {32, 32, 10}, tf, cfg, rng, member++));
+        core::sample_trigflow(velocity, {32, 32, 10}, tf, cfg,
+                              std::span<const core::MemberKey>(&key, 1)));
+    ++key.key;
   }
 }
 BENCHMARK(BM_TrigflowSamplerStep);

@@ -17,7 +17,10 @@
 #
 # ASan leg (AERIS_SANITIZE=address): the serving suite again — the server
 # juggles cross-request tensor lifetimes (packs point into other requests'
-# trajectories), which is exactly where use-after-free would hide.
+# trajectories), which is exactly where use-after-free would hide — and
+# the whole core suite: the samplers' in-place midpoint update, the
+# forecaster's one-member residual reshaped into its state, and the
+# ensemble, model and trainer tensors all run under ASan there.
 #
 # Both legs additionally run the consistency suite: mixed teacher/student
 # clients share one engine (and one per-worker conditioning cache) across
@@ -93,13 +96,16 @@ TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
 echo "TSan elastic suite (incl. park/un-park chaos soak) clean"
 
 cmake -B "$asan_build" -S "$repo" -DAERIS_SANITIZE=address
-cmake --build "$asan_build" -j --target test_tensor test_nn test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$asan_build" -j --target test_tensor test_nn test_core test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_tensor"
 echo "ASan tensor suite clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_nn"
 echo "ASan nn suite clean"
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
+  timeout 600 "$asan_build/tests/test_core"
+echo "ASan core suite (samplers, forecaster, ensemble, model) clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_serving"
 echo "ASan serving suite clean"

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "aeris/core/sampler.hpp"
 
@@ -27,6 +29,19 @@ struct MemberCursor {
   /// to 4096 steps never collide across members (shared by
   /// DiffusionForecaster and ParallelEnsembleEngine).
   static constexpr std::uint64_t kStepsPerMember = 4096;
+
+  /// Throws std::invalid_argument naming `who` when a trajectory of
+  /// `n_steps` steps would run past kStepsPerMember, where step
+  /// kStepsPerMember of member m would replay step 0 of member m + 1.
+  static void check_steps(std::int64_t n_steps, const char* who) {
+    if (n_steps > static_cast<std::int64_t>(kStepsPerMember)) {
+      throw std::invalid_argument(
+          std::string(who) + ": " + std::to_string(n_steps) +
+          " steps exceed MemberCursor::kStepsPerMember (" +
+          std::to_string(kStepsPerMember) +
+          "); later steps would replay the next member's noise");
+    }
+  }
 
   /// XORed into the seed for a quarantined member's retry: a fresh,
   /// reproducible Philox stream disjoint from every un-salted request seed

@@ -14,6 +14,13 @@ namespace aeris::core {
 /// given autoregressive step. Returns [H, W, F] tokens.
 using ForcingFn = std::function<Tensor(std::int64_t step)>;
 
+/// Batch-1 model input [1, H, W, C]: concat(state, prev, forcings) along
+/// channels, each [H, W, *] — the conditioning contract every diffusion
+/// forecaster network (and the consistency distiller's teacher, target and
+/// student) is called with.
+Tensor build_input(const Tensor& state, const Tensor& prev,
+                   const Tensor& forcings);
+
 /// Diffusion parameterization used by a forecaster.
 enum class Parameterization { kTrigFlow, kEdm };
 
@@ -58,7 +65,9 @@ class DiffusionForecaster {
   nn::InferPrecision infer_precision() const { return precision_; }
 
   /// Full rollout: returns n_steps states (not including the initial
-  /// condition).
+  /// condition). Throws std::invalid_argument for n_steps >
+  /// MemberCursor::kStepsPerMember (see MemberCursor::check_steps); so does
+  /// ensemble_rollout.
   std::vector<Tensor> rollout(const Tensor& init, const ForcingFn& forcings_at,
                               std::int64_t n_steps,
                               std::uint64_t member) const;

@@ -25,13 +25,6 @@ struct TrigSamplerConfig {
   float sigma_max = 80.0f;
 };
 
-/// Integrates the PF-ODE from pure noise to a sample. `member` selects the
-/// ensemble member: all stochastic draws are keyed by (member, step) in
-/// the counter RNG, so ensembles are reproducible and members independent.
-Tensor sample_trigflow(const DenoiserFn& velocity, const Shape& shape,
-                       const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                       const Philox& rng, std::uint64_t member);
-
 /// EDM / GenCast-style sampler: Karras schedule + Heun's second order
 /// method over the denoised estimate D(x; sigma).
 struct EdmSamplerConfig {
@@ -61,58 +54,51 @@ struct ConsistencySamplerConfig {
   float sigma_max = 80.0f;
 };
 
-Tensor sample_edm(const DenoiserFn& network, const Shape& shape,
-                  const Edm& edm, const EdmSamplerConfig& cfg,
-                  const Philox& rng, std::uint64_t member);
-
-/// Identifies one member's noise streams in a batched solve: `seed` is the
-/// Philox seed (per forecaster / per serving request) and `key` is the
-/// serial sampler `member` argument (the forecasters use
-/// member * 4096 + step). Splitting the seed out lets members of
-/// *different* requests — each reproducing its own serial reference —
-/// share a single stacked solver call.
+/// Identifies one member's noise streams: `seed` is the Philox seed (per
+/// forecaster / per serving request) and `key` the member's noise key
+/// (MemberCursor::noise_key: member * kStepsPerMember + step). Carrying
+/// the seed per member lets members of *different* requests share one
+/// stacked solver call. Each key owns a 1024-wide block of Philox sample
+/// offsets holding every draw of all three samplers (layout in
+/// sampler.cpp), so teacher and student draws never alias, even under one
+/// seed; sample_trigflow rejects steps > 1024 and sample_consistency
+/// rejects steps > 256, whose draws would leave the block.
 struct MemberKey {
   std::uint64_t seed = 0;
   std::uint64_t key = 0;
 };
 
-/// Batched samplers: E ensemble members advance in lockstep through one
+/// The samplers. E ensemble members advance in lockstep through one
 /// stacked state [E, ...shape], so every solver stage is a single network
-/// call over the batch dimension instead of E separate calls.
+/// call over the batch dimension; a serial solve is E = 1. Returns
+/// [E, ...shape]; slab e draws only from Philox(members[e].seed) keyed by
+/// members[e].key.
 ///
-/// Bitwise-identical to E serial sample_* calls with the same keys: the
-/// t/sigma schedule (and the churn rotation angle) depend only on the
-/// config, never on the state, so members share them exactly; every
-/// elementwise update touches each member's slab independently; and the
-/// counter RNG fills member e's slab with exactly the draws the serial
-/// call keyed by member_keys[e] would produce. The network closure must
-/// preserve this by treating the leading dim as a batch of independent
-/// samples (true of AerisModel by construction).
-///
-/// `velocity`/`network` receive the stacked [E, ...shape] state and return
-/// the stacked result; `member_keys[e]` is the serial `member` argument of
-/// slab e. Returns [E, ...shape].
-Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
-                               const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                               const Philox& rng,
-                               std::span<const std::uint64_t> member_keys);
+/// Every slab is bitwise-independent of its batch-mates: the t/sigma
+/// schedule (and the churn rotation angle) depend only on the config,
+/// never on the state, so members share them exactly; every elementwise
+/// update touches each member's slab independently; and the counter RNG
+/// fills each slab from its own key alone. `velocity`/`network` receive
+/// the stacked [E, ...shape] state and must treat the leading dim as a
+/// batch of independent samples (true of AerisModel by construction).
+Tensor sample_trigflow(const DenoiserFn& velocity, const Shape& shape,
+                       const TrigFlow& tf, const TrigSamplerConfig& cfg,
+                       std::span<const MemberKey> members);
 
-Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
-                          const Edm& edm, const EdmSamplerConfig& cfg,
-                          const Philox& rng,
-                          std::span<const std::uint64_t> member_keys);
+Tensor sample_edm(const DenoiserFn& network, const Shape& shape,
+                  const Edm& edm, const EdmSamplerConfig& cfg,
+                  std::span<const MemberKey> members);
 
-/// Per-member-seed variants (cross-request stacking): slab e draws from
-/// Philox(members[e].seed) keyed by members[e].key — bitwise-identical to
-/// a serial sample_* call with that seed and key. The single-seed
-/// overloads above delegate here with a shared seed.
-Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
-                               const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                               std::span<const MemberKey> members);
+/// One two-stage midpoint (DPMSolver++(2S)-class) step of the PF-ODE
+/// dx/dt = velocity(x, t) from t to t_next, updating `x` in place. The
+/// TrigFlow sampler's ODE step, and the frozen-teacher step of
+/// consistency distillation.
+void trigflow_midpoint_step(const DenoiserFn& velocity, Tensor& x, float t,
+                            float t_next);
 
-Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
-                          const Edm& edm, const EdmSamplerConfig& cfg,
-                          std::span<const MemberKey> members);
+/// Consistency estimate f(x, t) = cos(t) x - sin(t) v of the PF-ODE
+/// endpoint, from the velocity v = velocity(x, t).
+Tensor consistency_estimate(const Tensor& x, const Tensor& v, float t);
 
 /// The t (or sigma) schedule used by sample_trigflow, exposed for tests
 /// and diagnostics: steps+1 values, strictly decreasing, last element 0.
@@ -131,32 +117,14 @@ std::vector<float> consistency_schedule(const TrigFlow& tf,
                                         const ConsistencySamplerConfig& cfg);
 
 /// Few-step consistency sampling of a distilled TrigFlow student: start
-/// from pure noise at t_0, apply f once, then alternate re-noising to the
-/// next schedule time (fresh member-keyed noise) with another application
-/// of f. `velocity` is the same closure the TrigFlow sampler takes
-/// (sigma_d * F(x / sigma_d, t)); the consistency estimate is
-/// cos(t) x - sin(t) velocity(x, t). Noise keying matches the other
-/// samplers: all draws are (member, evaluation index) keyed in the counter
-/// RNG, so members are independent and reproducible.
+/// from pure noise at t_0, apply the consistency estimate once, then
+/// alternate re-noising to the next schedule time (fresh member-keyed
+/// noise) with another estimate. `velocity` is the same closure the
+/// TrigFlow sampler takes (sigma_d * F(x / sigma_d, t)). Returns
+/// [E, ...shape] like the samplers above.
 Tensor sample_consistency(const DenoiserFn& velocity, const Shape& shape,
                           const TrigFlow& tf,
                           const ConsistencySamplerConfig& cfg,
-                          const Philox& rng, std::uint64_t member);
-
-/// Batched / per-member-seed variants, bitwise-identical to E serial
-/// sample_consistency calls with the same keys (same contract as the
-/// batched samplers above: the schedule is state-independent, every
-/// elementwise update touches one member slab, and the counter RNG fills
-/// slab e with exactly the serial draws of member_keys[e]).
-Tensor sample_consistency_batched(const DenoiserFn& velocity,
-                                  const Shape& shape, const TrigFlow& tf,
-                                  const ConsistencySamplerConfig& cfg,
-                                  const Philox& rng,
-                                  std::span<const std::uint64_t> member_keys);
-
-Tensor sample_consistency_batched(const DenoiserFn& velocity,
-                                  const Shape& shape, const TrigFlow& tf,
-                                  const ConsistencySamplerConfig& cfg,
-                                  std::span<const MemberKey> members);
+                          std::span<const MemberKey> members);
 
 }  // namespace aeris::core

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "aeris/core/forecaster.hpp"
 #include "aeris/tensor/numerics.hpp"
 #include "aeris/tensor/ops.hpp"
 
@@ -73,15 +74,6 @@ AerisModel make_target(const AerisModel& student) {
     return AerisModel(student.config(), student);
   }
   return AerisModel(student.config());
-}
-
-/// Stacks [H,W,*] channel groups into a single [1,H,W,C] model input
-/// (same assembly as DiffusionForecaster).
-Tensor build_input(const Tensor& state, const Tensor& prev,
-                   const Tensor& forcings) {
-  const Tensor* parts[] = {&state, &prev, &forcings};
-  Tensor cat = concat(std::span<const Tensor* const>(parts, 3), 2);
-  return std::move(cat).reshaped({1, cat.dim(0), cat.dim(1), cat.dim(2)});
 }
 
 }  // namespace
@@ -163,28 +155,23 @@ float ConsistencyDistiller::objective_forward_backward(
     scale_(z, sd);
     Tensor x_t = tf.interpolate(x0, z, t);
 
-    // One frozen-teacher midpoint ODE step x_t -> x_s — the exact
-    // two-stage update sample_trigflow applies at inference.
-    const float t_mid = 0.5f * (t + s);
-    Tensor k1 =
-        frozen_velocity(teacher_, teacher_cache_, x_t, t, ex.prev, ex.forcings);
-    Tensor x_mid = x_t;
-    axpy_(x_mid, t_mid - t, k1);
-    Tensor k2 = frozen_velocity(teacher_, teacher_cache_, x_mid, t_mid, ex.prev,
-                                ex.forcings);
+    // One frozen-teacher midpoint ODE step x_t -> x_s — the sampler's own
+    // inference update.
+    const DenoiserFn teacher_velocity = [&](const Tensor& x, float tt) {
+      return frozen_velocity(teacher_, teacher_cache_, x, tt, ex.prev,
+                             ex.forcings);
+    };
     Tensor x_s = x_t;
-    axpy_(x_s, s - t, k2);
+    trigflow_midpoint_step(teacher_velocity, x_s, t, s);
 
     // Regression target y = stopgrad f_ema(x_s, s); at the boundary s = 0
     // the consistency function is the identity, so y = x_s exactly.
-    Tensor y;
-    if (s == 0.0f) {
-      y = std::move(x_s);
-    } else {
-      Tensor vt = frozen_velocity(target_, target_cache_, x_s, s, ex.prev,
-                                  ex.forcings);
-      y = scale(x_s, std::cos(s));
-      axpy_(y, -std::sin(s), vt);
+    Tensor y = std::move(x_s);
+    if (s != 0.0f) {
+      y = consistency_estimate(y,
+                               frozen_velocity(target_, target_cache_, y, s,
+                                               ex.prev, ex.forcings),
+                               s);
     }
 
     // In F-space: f_pred - y = -c (F - F_target) with c = sin(t) sigma_d
@@ -198,14 +185,13 @@ float ConsistencyDistiller::objective_forward_backward(
     t_vec[i] = t;
     grad_scale[static_cast<std::size_t>(i)] = c;
 
-    Tensor state_channels = scale(x_t, 1.0f / sd);
-    const Tensor* parts[] = {&state_channels, &ex.prev, &ex.forcings};
-    Tensor cat = concat(std::span<const Tensor* const>(parts, 3), 2);
-    if (cat.dim(2) != mc.in_channels) {
+    const Tensor in_i =
+        build_input(scale(x_t, 1.0f / sd), ex.prev, ex.forcings);
+    if (in_i.dim(3) != mc.in_channels) {
       throw std::invalid_argument(
           "distill_step: model in_channels does not match distiller inputs");
     }
-    std::copy_n(cat.data(), cat.numel(), input.data() + i * cat.numel());
+    std::copy_n(in_i.data(), in_i.numel(), input.data() + i * in_i.numel());
   }
 
   nn::FwdCtx ctx;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "aeris/core/cursor.hpp"
 #include "aeris/tensor/ops.hpp"
 #include "aeris/tensor/thread_pool.hpp"
 
@@ -134,8 +135,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
       scale_(f, sd);  // velocity = sigma_d * F
       return f;
     };
-    residual = sample_consistency_batched(velocity, shape, trigflow_, sc,
-                                          std::span<const MemberKey>(keys));
+    residual = sample_consistency(velocity, shape, trigflow_, sc, keys);
   } else if (param_ == Parameterization::kTrigFlow) {
     TrigSamplerConfig sc = trig_sampler_;
     if (solver_steps_override > 0) sc.steps = solver_steps_override;
@@ -147,8 +147,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
       scale_(f, sd);  // velocity = sigma_d * F
       return f;
     };
-    residual = sample_trigflow_batched(velocity, shape, trigflow_, sc,
-                                       std::span<const MemberKey>(keys));
+    residual = sample_trigflow(velocity, shape, trigflow_, sc, keys);
   } else {
     EdmSamplerConfig sc = edm_sampler_;
     if (solver_steps_override > 0) sc.steps = solver_steps_override;
@@ -156,8 +155,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
       Tensor input = build_packed_input(xin, 1.0f, pack);
       return model_.forward(input, Tensor({e}, t), cache, precision_);
     };
-    residual = sample_edm_batched(network, shape, edm_, sc,
-                                  std::span<const MemberKey>(keys));
+    residual = sample_edm(network, shape, edm_, sc, keys);
   }
 
   std::vector<Tensor> next;
@@ -178,9 +176,11 @@ std::vector<Tensor> ParallelEnsembleEngine::step_chunk(
   for (std::size_t m = 0; m < states.size(); ++m) {
     slots[m].prev = &states[m];
     slots[m].forcings = &forcings;
-    slots[m].noise = MemberKey{
-        rng_.seed(), (static_cast<std::uint64_t>(m0) + m) * 4096 +
-                         static_cast<std::uint64_t>(step)};
+    slots[m].noise =
+        MemberCursor{.seed = rng_.seed(),
+                     .member = m0 + static_cast<std::int64_t>(m),
+                     .step = step}
+            .noise_key();
   }
   return step_pack(slots, 0, cache);
 }
@@ -191,6 +191,7 @@ std::vector<std::vector<Tensor>> ParallelEnsembleEngine::ensemble_rollout(
   if (init.ndim() != 3) {
     throw std::invalid_argument("ensemble_rollout: init must be [H,W,V]");
   }
+  MemberCursor::check_steps(n_steps, "ensemble_rollout");
   if (members <= 0) return {};
   const std::int64_t batch = std::max<std::int64_t>(1, opts.batch);
 

@@ -10,45 +10,45 @@
 namespace aeris::core {
 namespace {
 
-Shape stacked_shape(const Shape& shape, std::int64_t e) {
-  Shape out;
-  out.reserve(shape.size() + 1);
-  out.push_back(e);
-  out.insert(out.end(), shape.begin(), shape.end());
-  return out;
-}
+/// Noise-key layout. Member key k owns the Philox sample offsets
+/// [k * kKeyBlock, (k + 1) * kKeyBlock) of each stream:
+///   - kSamplerNoise: TrigFlow start noise at kTrigFlowOffset, EDM start
+///     noise at kEdmOffset, consistency evaluation i at
+///     kConsistencyOffset + i (i < kMaxConsistencySteps);
+///   - kChurn: TrigFlow churn before ODE step i at 1 + i
+///     (i + 1 < kMaxTrigFlowSteps).
+/// Teacher and student draws are disjoint, and every draw stays in its
+/// key's block, so key k + 1 never replays key k's noise.
+constexpr std::uint64_t kKeyBlock = 1024;
+constexpr std::uint64_t kTrigFlowOffset = 0;
+constexpr std::uint64_t kEdmOffset = 512;
+constexpr std::uint64_t kConsistencyOffset = 768;
+constexpr int kMaxTrigFlowSteps = static_cast<int>(kKeyBlock);
+constexpr int kMaxConsistencySteps =
+    static_cast<int>(kKeyBlock - kConsistencyOffset);
 
-/// Fills member slab e of the stacked state with exactly the draws a
-/// serial fill_normal from Philox(keys[e].seed) keyed by
-/// (stream, keys[e].key*1024 + sample_offset) would produce (same begin=0
-/// flat index space per slab). Philox is a stateless seed wrapper, so
-/// constructing one per member is free.
-void fill_member_noise(Tensor& x, std::int64_t per, std::uint64_t stream,
-                       std::span<const MemberKey> keys,
-                       std::uint64_t sample_offset) {
-  for (std::size_t e = 0; e < keys.size(); ++e) {
-    Philox(keys[e].seed)
+/// Stacked [E, ...shape] standard normal draws: slab e holds exactly the
+/// draws of Philox(members[e].seed) at (stream, members[e].key * kKeyBlock
+/// + offset), over the slab's own flat index space from 0. Philox is a
+/// stateless seed wrapper, so constructing one per member is free.
+Tensor member_noise(const Shape& shape, std::span<const MemberKey> members,
+                    std::uint64_t stream, std::uint64_t offset) {
+  if (members.empty()) throw std::invalid_argument("sampler: no members");
+  Shape stacked;
+  stacked.reserve(shape.size() + 1);
+  stacked.push_back(static_cast<std::int64_t>(members.size()));
+  stacked.insert(stacked.end(), shape.begin(), shape.end());
+  Tensor z(stacked);
+  const std::int64_t per = z.numel() / stacked[0];
+  for (std::size_t e = 0; e < members.size(); ++e) {
+    Philox(members[e].seed)
         .fill_normal_range(
-            std::span<float>(x.data() + static_cast<std::int64_t>(e) * per,
+            std::span<float>(z.data() + static_cast<std::int64_t>(e) * per,
                              static_cast<std::size_t>(per)),
-            stream, keys[e].key * 1024 + sample_offset, 0);
+            stream, members[e].key * kKeyBlock + offset, 0);
   }
+  return z;
 }
-
-std::vector<MemberKey> shared_seed_keys(const Philox& rng,
-                                        std::span<const std::uint64_t> keys) {
-  std::vector<MemberKey> mk(keys.size());
-  for (std::size_t e = 0; e < keys.size(); ++e) {
-    mk[e] = MemberKey{rng.seed(), keys[e]};
-  }
-  return mk;
-}
-
-/// Noise-key offset of the consistency sampler inside a member's 1024-wide
-/// key block: disjoint from the TrigFlow sampler (offset 0, churn 1..) and
-/// the EDM sampler (offset 512), so teacher and student draws never alias
-/// even under one seed. Offset 768 + i keys evaluation i's noise.
-constexpr std::uint64_t kConsistencyNoiseOffset = 768;
 
 }  // namespace
 
@@ -78,15 +78,35 @@ std::vector<float> trigflow_schedule(const TrigFlow& tf,
   return ts;
 }
 
+void trigflow_midpoint_step(const DenoiserFn& velocity, Tensor& x, float t,
+                            float t_next) {
+  const float t_mid = 0.5f * (t + t_next);
+  Tensor k1 = velocity(x, t);
+  Tensor x_mid = x;
+  axpy_(x_mid, t_mid - t, k1);
+  Tensor k2 = velocity(x_mid, t_mid);
+  axpy_(x, t_next - t, k2);
+}
+
+Tensor consistency_estimate(const Tensor& x, const Tensor& v, float t) {
+  Tensor x0 = scale(x, std::cos(t));
+  axpy_(x0, -std::sin(t), v);
+  return x0;
+}
+
 Tensor sample_trigflow(const DenoiserFn& velocity, const Shape& shape,
                        const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                       const Philox& rng, std::uint64_t member) {
+                       std::span<const MemberKey> members) {
+  if (cfg.steps > kMaxTrigFlowSteps) {
+    throw std::invalid_argument("sampler: TrigFlow steps > 1024 leave the "
+                                "member's noise-key block");
+  }
   const float sd = tf.config().sigma_d;
   const std::vector<float> ts = trigflow_schedule(tf, cfg);
 
   // Start from pure noise at t_0: x = sigma_d * z.
-  Tensor x(shape);
-  rng.fill_normal(x, rng_stream::kSamplerNoise, member * 1024);
+  Tensor x =
+      member_noise(shape, members, rng_stream::kSamplerNoise, kTrigFlowOffset);
   scale_(x, sd);
 
   constexpr float kHalfPi = 1.5707963267948966f;
@@ -96,92 +116,31 @@ Tensor sample_trigflow(const DenoiserFn& velocity, const Shape& shape,
 
     // Trigonometric Langevin-like churn: rotate partially back toward the
     // noise sphere with *fresh* noise, increasing t before the ODE step.
+    // The angle depends only on the schedule, so all members share it.
     if (cfg.churn > 0.0f && i + 1 < ts.size() - 1) {
       const float delta =
           std::min(cfg.churn * (t - t_next), kHalfPi - t - 1e-4f);
       if (delta > 0.0f) {
-        Tensor z(shape);
-        rng.fill_normal(z, rng_stream::kChurn,
-                        member * 1024 + static_cast<std::uint64_t>(i) + 1);
+        const Tensor z = member_noise(shape, members, rng_stream::kChurn,
+                                      static_cast<std::uint64_t>(i) + 1);
         Tensor xr = scale(x, std::cos(delta));
         axpy_(xr, sd * std::sin(delta), z);
-        x = xr;
+        x = std::move(xr);
         t += delta;
       }
     }
-
-    // Midpoint (two-stage second order) step of dx/dt = v(x, t).
-    const float t_mid = 0.5f * (t + t_next);
-    Tensor k1 = velocity(x, t);
-    Tensor x_mid = x;
-    axpy_(x_mid, t_mid - t, k1);
-    Tensor k2 = velocity(x_mid, t_mid);
-    axpy_(x, t_next - t, k2);
-  }
-  return x;
-}
-
-Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
-                               const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                               const Philox& rng,
-                               std::span<const std::uint64_t> member_keys) {
-  const std::vector<MemberKey> mk = shared_seed_keys(rng, member_keys);
-  return sample_trigflow_batched(velocity, shape, tf, cfg, mk);
-}
-
-Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
-                               const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                               std::span<const MemberKey> members) {
-  const float sd = tf.config().sigma_d;
-  const std::vector<float> ts = trigflow_schedule(tf, cfg);
-  const std::int64_t e = static_cast<std::int64_t>(members.size());
-  if (e == 0) throw std::invalid_argument("sampler: empty member_keys");
-  const Shape xshape = stacked_shape(shape, e);
-
-  Tensor x(xshape);
-  std::int64_t per = 1;
-  for (const std::int64_t d : shape) per *= d;
-  fill_member_noise(x, per, rng_stream::kSamplerNoise, members, 0);
-  scale_(x, sd);
-
-  constexpr float kHalfPi = 1.5707963267948966f;
-  for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-    float t = ts[i];
-    const float t_next = ts[i + 1];
-
-    // The churn angle depends only on the schedule, so all members rotate
-    // by the same delta — exactly what each serial call computes.
-    if (cfg.churn > 0.0f && i + 1 < ts.size() - 1) {
-      const float delta =
-          std::min(cfg.churn * (t - t_next), kHalfPi - t - 1e-4f);
-      if (delta > 0.0f) {
-        Tensor z(xshape);
-        fill_member_noise(z, per, rng_stream::kChurn, members,
-                          static_cast<std::uint64_t>(i) + 1);
-        Tensor xr = scale(x, std::cos(delta));
-        axpy_(xr, sd * std::sin(delta), z);
-        x = xr;
-        t += delta;
-      }
-    }
-
-    const float t_mid = 0.5f * (t + t_next);
-    Tensor k1 = velocity(x, t);
-    Tensor x_mid = x;
-    axpy_(x_mid, t_mid - t, k1);
-    Tensor k2 = velocity(x_mid, t_mid);
-    axpy_(x, t_next - t, k2);
+    trigflow_midpoint_step(velocity, x, t, t_next);
   }
   return x;
 }
 
 Tensor sample_edm(const DenoiserFn& network, const Shape& shape,
                   const Edm& edm, const EdmSamplerConfig& cfg,
-                  const Philox& rng, std::uint64_t member) {
+                  std::span<const MemberKey> members) {
   const std::vector<float> sigmas = edm.schedule(cfg.steps);
 
-  Tensor x(shape);
-  rng.fill_normal(x, rng_stream::kSamplerNoise, member * 1024 + 512);
+  Tensor x =
+      member_noise(shape, members, rng_stream::kSamplerNoise, kEdmOffset);
   scale_(x, sigmas[0]);
 
   auto denoise = [&](const Tensor& xx, float sigma) {
@@ -212,60 +171,7 @@ Tensor sample_edm(const DenoiserFn& network, const Shape& shape,
       x_euler = x;
       axpy_(x_euler, s_next - s, slope);
     }
-    x = x_euler;
-  }
-  return x;
-}
-
-Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
-                          const Edm& edm, const EdmSamplerConfig& cfg,
-                          const Philox& rng,
-                          std::span<const std::uint64_t> member_keys) {
-  const std::vector<MemberKey> mk = shared_seed_keys(rng, member_keys);
-  return sample_edm_batched(network, shape, edm, cfg, mk);
-}
-
-Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
-                          const Edm& edm, const EdmSamplerConfig& cfg,
-                          std::span<const MemberKey> members) {
-  const std::vector<float> sigmas = edm.schedule(cfg.steps);
-  const std::int64_t e = static_cast<std::int64_t>(members.size());
-  if (e == 0) throw std::invalid_argument("sampler: empty member_keys");
-
-  Tensor x(stacked_shape(shape, e));
-  std::int64_t per = 1;
-  for (const std::int64_t d : shape) per *= d;
-  fill_member_noise(x, per, rng_stream::kSamplerNoise, members, 512);
-  scale_(x, sigmas[0]);
-
-  auto denoise = [&](const Tensor& xx, float sigma) {
-    Tensor xin = scale(xx, edm.c_in(sigma));
-    Tensor f = network(xin, edm.c_noise(sigma));
-    Tensor d = scale(xx, edm.c_skip(sigma));
-    axpy_(d, edm.c_out(sigma), f);
-    return d;
-  };
-
-  for (std::size_t i = 0; i + 1 < sigmas.size(); ++i) {
-    const float s = sigmas[i];
-    const float s_next = sigmas[i + 1];
-    Tensor d0 = denoise(x, s);
-    Tensor slope = x;
-    sub_(slope, d0);
-    scale_(slope, 1.0f / s);
-    Tensor x_euler = x;
-    axpy_(x_euler, s_next - s, slope);
-    if (s_next > 0.0f) {
-      Tensor d1 = denoise(x_euler, s_next);
-      Tensor slope2 = x_euler;
-      sub_(slope2, d1);
-      scale_(slope2, 1.0f / s_next);
-      axpy_(slope, 1.0f, slope2);
-      scale_(slope, 0.5f);
-      x_euler = x;
-      axpy_(x_euler, s_next - s, slope);
-    }
-    x = x_euler;
+    x = std::move(x_euler);
   }
   return x;
 }
@@ -292,14 +198,17 @@ std::vector<float> consistency_schedule(const TrigFlow& tf,
 Tensor sample_consistency(const DenoiserFn& velocity, const Shape& shape,
                           const TrigFlow& tf,
                           const ConsistencySamplerConfig& cfg,
-                          const Philox& rng, std::uint64_t member) {
+                          std::span<const MemberKey> members) {
+  if (cfg.steps > kMaxConsistencySteps) {
+    throw std::invalid_argument("sampler: consistency steps > 256 leave the "
+                                "member's noise-key block");
+  }
   const float sd = tf.config().sigma_d;
   const std::vector<float> ts = consistency_schedule(tf, cfg);
 
   // Start from pure noise at t_0: x = sigma_d * z.
-  Tensor x(shape);
-  rng.fill_normal(x, rng_stream::kSamplerNoise,
-                  member * 1024 + kConsistencyNoiseOffset);
+  Tensor x = member_noise(shape, members, rng_stream::kSamplerNoise,
+                          kConsistencyOffset);
   scale_(x, sd);
 
   Tensor x0;
@@ -308,63 +217,13 @@ Tensor sample_consistency(const DenoiserFn& velocity, const Shape& shape,
     if (i > 0) {
       // Re-noise the estimate to t with *fresh* noise:
       // x = cos(t) x0 + sin(t) sigma_d z_i.
-      Tensor z(shape);
-      rng.fill_normal(z, rng_stream::kSamplerNoise,
-                      member * 1024 + kConsistencyNoiseOffset +
-                          static_cast<std::uint64_t>(i));
+      const Tensor z =
+          member_noise(shape, members, rng_stream::kSamplerNoise,
+                       kConsistencyOffset + static_cast<std::uint64_t>(i));
       x = scale(x0, std::cos(t));
       axpy_(x, sd * std::sin(t), z);
     }
-    // Consistency estimate f(x, t) = cos(t) x - sin(t) v(x, t).
-    Tensor v = velocity(x, t);
-    x0 = scale(x, std::cos(t));
-    axpy_(x0, -std::sin(t), v);
-  }
-  return x0;
-}
-
-Tensor sample_consistency_batched(const DenoiserFn& velocity,
-                                  const Shape& shape, const TrigFlow& tf,
-                                  const ConsistencySamplerConfig& cfg,
-                                  const Philox& rng,
-                                  std::span<const std::uint64_t> member_keys) {
-  const std::vector<MemberKey> mk = shared_seed_keys(rng, member_keys);
-  return sample_consistency_batched(velocity, shape, tf, cfg, mk);
-}
-
-Tensor sample_consistency_batched(const DenoiserFn& velocity,
-                                  const Shape& shape, const TrigFlow& tf,
-                                  const ConsistencySamplerConfig& cfg,
-                                  std::span<const MemberKey> members) {
-  const float sd = tf.config().sigma_d;
-  const std::vector<float> ts = consistency_schedule(tf, cfg);
-  const std::int64_t e = static_cast<std::int64_t>(members.size());
-  if (e == 0) throw std::invalid_argument("sampler: empty member_keys");
-  const Shape xshape = stacked_shape(shape, e);
-
-  Tensor x(xshape);
-  std::int64_t per = 1;
-  for (const std::int64_t d : shape) per *= d;
-  fill_member_noise(x, per, rng_stream::kSamplerNoise, members,
-                    kConsistencyNoiseOffset);
-  scale_(x, sd);
-
-  Tensor x0;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    // The schedule depends only on the config, never on the state, so all
-    // members share t — exactly what each serial call computes.
-    const float t = ts[i];
-    if (i > 0) {
-      Tensor z(xshape);
-      fill_member_noise(z, per, rng_stream::kSamplerNoise, members,
-                        kConsistencyNoiseOffset +
-                            static_cast<std::uint64_t>(i));
-      x = scale(x0, std::cos(t));
-      axpy_(x, sd * std::sin(t), z);
-    }
-    Tensor v = velocity(x, t);
-    x0 = scale(x, std::cos(t));
-    axpy_(x0, -std::sin(t), v);
+    x0 = consistency_estimate(x, velocity(x, t), t);
   }
   return x0;
 }

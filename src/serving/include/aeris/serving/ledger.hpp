@@ -111,8 +111,17 @@ struct FetchedForcings {
 /// fn only penalizes its own request's items.
 FetchedForcings fetch_forcings(std::span<const PackItem> items);
 
+/// Environment overlay of one numeric knob, shared by ServerOptions and
+/// ClusterOptions::from_env: unset or empty keeps `fallback`; a value that
+/// is not a whole number in range (trailing characters, no digits,
+/// overflow, non-finite) throws std::invalid_argument naming the knob.
+double env_double(const char* name, double fallback);
+std::int64_t env_i64(const char* name, std::int64_t fallback);
+int env_int(const char* name, int fallback);
+
 /// Throws std::invalid_argument for malformed requests (wrong shapes, null
-/// forcing fn, bad member/step counts) against the resolved variant's
+/// forcing fn, member or step counts below 1, steps past
+/// MemberCursor::kStepsPerMember) against the resolved variant's
 /// engine. Routing failures (unknown model, unsupported sampler) are NOT
 /// thrown here — RequestLedger::admit turns them into typed
 /// RejectedError{kUnsupported} results. Shared by both serving front-ends.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,22 +16,6 @@ namespace {
 
 using Clock = detail::Clock;
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end != v ? parsed : fallback;
-}
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return end != v ? static_cast<std::int64_t>(parsed) : fallback;
-}
-
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
@@ -41,8 +24,8 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 
 ClusterOptions ClusterOptions::from_env() {
   ClusterOptions o;
-  o.ranks = static_cast<int>(env_i64("AERIS_SERVE_RANKS", o.ranks));
-  o.min_quorum = static_cast<int>(env_i64("AERIS_SERVE_QUORUM", o.min_quorum));
+  o.ranks = env_int("AERIS_SERVE_RANKS", o.ranks);
+  o.min_quorum = env_int("AERIS_SERVE_QUORUM", o.min_quorum);
   o.heartbeat_interval_ms =
       env_double("AERIS_SERVE_HEARTBEAT_MS", o.heartbeat_interval_ms);
   // Default the detector to 8x the interval when heartbeats are on and no
@@ -53,7 +36,7 @@ ClusterOptions ClusterOptions::from_env() {
   o.lease_timeout_ms = env_double("AERIS_SERVE_LEASE_MS", o.lease_timeout_ms);
   o.rejoin = env_i64("AERIS_SERVE_REJOIN", o.rejoin ? 1 : 0) != 0;
   o.probation_ms = env_double("AERIS_SERVE_PROBATION_MS", o.probation_ms);
-  o.max_ranks = static_cast<int>(env_i64("AERIS_SERVE_MAX_RANKS", o.max_ranks));
+  o.max_ranks = env_int("AERIS_SERVE_MAX_RANKS", o.max_ranks);
   o.serve = ServerOptions::from_env();
   return o;
 }

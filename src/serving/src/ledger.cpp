@@ -1,10 +1,13 @@
 #include "aeris/serving/ledger.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "aeris/tensor/numerics.hpp"
@@ -21,20 +24,10 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end != v ? parsed : fallback;
-}
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return end != v ? static_cast<std::int64_t>(parsed) : fallback;
+[[noreturn]] void bad_env(const char* name, const char* value,
+                          const char* why) {
+  throw std::invalid_argument(std::string(name) + "=\"" + value + "\": " +
+                              why);
 }
 
 std::exception_ptr status_error(RequestStatus status, const std::string& msg) {
@@ -53,6 +46,39 @@ std::exception_ptr status_error(RequestStatus status, const std::string& msg) {
 
 }  // namespace
 
+double env_double(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(v, &end);
+  if (end == v || *end != '\0') bad_env(name, v, "not a number");
+  if (errno == ERANGE || !std::isfinite(parsed)) {
+    bad_env(name, v, "out of range");
+  }
+  return parsed;
+}
+
+std::int64_t env_i64(const char* name, std::int64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0') bad_env(name, v, "not an integer");
+  if (errno == ERANGE) bad_env(name, v, "out of range");
+  return static_cast<std::int64_t>(parsed);
+}
+
+int env_int(const char* name, int fallback) {
+  const std::int64_t parsed = env_i64(name, fallback);
+  if (parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    bad_env(name, std::getenv(name), "out of range");
+  }
+  return static_cast<int>(parsed);
+}
+
 ServerOptions ServerOptions::from_env() {
   ServerOptions o;
   o.queue_capacity = env_i64("AERIS_SERVE_QUEUE_CAP", o.queue_capacity);
@@ -65,8 +91,8 @@ ServerOptions ServerOptions::from_env() {
                  o.degrade.fallback_wait_threshold_ms);
   o.degrade.est_wait_threshold_ms = env_double(
       "AERIS_SERVE_DEGRADE_WAIT_MS", o.degrade.est_wait_threshold_ms);
-  o.degrade.degraded_solver_steps = static_cast<int>(env_i64(
-      "AERIS_SERVE_DEGRADE_STEPS", o.degrade.degraded_solver_steps));
+  o.degrade.degraded_solver_steps =
+      env_int("AERIS_SERVE_DEGRADE_STEPS", o.degrade.degraded_solver_steps);
   o.degrade.max_members =
       env_i64("AERIS_SERVE_DEGRADE_MEMBERS", o.degrade.max_members);
   o.degrade.to_consistency =
@@ -103,6 +129,7 @@ void validate_request(const core::ParallelEnsembleEngine& engine,
   if (req.members <= 0 || req.steps <= 0) {
     throw std::invalid_argument("forecast: members and steps must be >= 1");
   }
+  core::MemberCursor::check_steps(req.steps, "forecast");
 }
 
 FetchedForcings fetch_forcings(std::span<const PackItem> items) {

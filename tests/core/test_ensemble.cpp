@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "aeris/core/cursor.hpp"
 #include "aeris/tensor/ops.hpp"
 #include "aeris/tensor/thread_pool.hpp"
 
@@ -154,6 +155,11 @@ TEST(ParallelEnsemble, ValidatesInit) {
                std::invalid_argument);
   EXPECT_TRUE(engine.ensemble_rollout(Tensor({8, 8, 3}), forcings, 1, 0)
                   .empty());
+  // Past kStepsPerMember steps, member m would replay member m+1's noise.
+  EXPECT_THROW(
+      engine.ensemble_rollout(Tensor({8, 8, 3}), forcings,
+                              MemberCursor::kStepsPerMember + 1, 2),
+      std::invalid_argument);
 }
 
 // Concurrent inference against ONE shared read-only model: each thread

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "aeris/core/cursor.hpp"
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::core {
@@ -103,6 +104,19 @@ TEST(DiffusionForecaster, RejectsBatchedPrev) {
   DiffusionForecaster fc(model, TrigFlowConfig{}, TrigSamplerConfig{.steps = 2},
                          7);
   EXPECT_THROW(fc.forecast_step(Tensor({1, 8, 8, 2}), Tensor({8, 8, 1}), 0, 0),
+               std::invalid_argument);
+}
+
+TEST(DiffusionForecaster, RejectsRolloutsPastTheMemberKeyRange) {
+  // Step kStepsPerMember of member m would draw member m+1's step-0 noise.
+  AerisModel model(fc_cfg(false), 6);
+  DiffusionForecaster fc(model, TrigFlowConfig{}, TrigSamplerConfig{.steps = 2},
+                         7);
+  const Tensor init({8, 8, 2});
+  const std::int64_t too_long = MemberCursor::kStepsPerMember + 1;
+  EXPECT_THROW(fc.rollout(init, const_forcings(8, 8), too_long, 0),
+               std::invalid_argument);
+  EXPECT_THROW(fc.ensemble_rollout(init, const_forcings(8, 8), too_long, 2),
                std::invalid_argument);
 }
 

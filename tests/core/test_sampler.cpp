@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::core {
 namespace {
+
+/// A one-member solve keyed like a serial forecast: seed of `rng`, key
+/// `member`.
+std::vector<MemberKey> one_member(const Philox& rng, std::uint64_t member) {
+  return {MemberKey{rng.seed(), member}};
+}
 
 TEST(TrigSchedule, DecreasingEndsAtZero) {
   TrigFlow tf(TrigFlowConfig{});
@@ -44,7 +51,7 @@ TEST(TrigSampler, RecoversPointMass) {
   TrigSamplerConfig cfg;
   cfg.steps = 30;
   Philox rng(1);
-  Tensor sample = sample_trigflow(velocity, {64}, tf, cfg, rng, 0);
+  Tensor sample = sample_trigflow(velocity, {64}, tf, cfg, one_member(rng, 0));
   for (std::int64_t i = 0; i < sample.numel(); ++i) {
     EXPECT_NEAR(sample[i], mu, 0.05f) << i;
   }
@@ -58,7 +65,7 @@ TEST(TrigSampler, GaussianDataGivesUnitVarianceSamples) {
   TrigSamplerConfig cfg;
   cfg.steps = 10;
   Philox rng(2);
-  Tensor s = sample_trigflow(velocity, {4096}, tf, cfg, rng, 0);
+  Tensor s = sample_trigflow(velocity, {4096}, tf, cfg, one_member(rng, 0));
   EXPECT_NEAR(mean(s), 0.0f, 0.05f);
   EXPECT_NEAR(mean_sq(s), 1.0f, 0.1f);
 }
@@ -68,11 +75,11 @@ TEST(TrigSampler, MembersDiffer) {
   DenoiserFn velocity = [](const Tensor& x, float) { return Tensor(x.shape()); };
   TrigSamplerConfig cfg;
   Philox rng(3);
-  Tensor a = sample_trigflow(velocity, {32}, tf, cfg, rng, 0);
-  Tensor b = sample_trigflow(velocity, {32}, tf, cfg, rng, 1);
+  Tensor a = sample_trigflow(velocity, {32}, tf, cfg, one_member(rng, 0));
+  Tensor b = sample_trigflow(velocity, {32}, tf, cfg, one_member(rng, 1));
   EXPECT_FALSE(a.allclose(b, 1e-3f));
   // Same member is reproducible.
-  Tensor a2 = sample_trigflow(velocity, {32}, tf, cfg, rng, 0);
+  Tensor a2 = sample_trigflow(velocity, {32}, tf, cfg, one_member(rng, 0));
   EXPECT_TRUE(a.allclose(a2));
 }
 
@@ -91,7 +98,7 @@ TEST(TrigSampler, ChurnPreservesPointMassRecovery) {
   cfg.steps = 30;
   cfg.churn = 0.5f;
   Philox rng(4);
-  Tensor s = sample_trigflow(velocity, {32}, tf, cfg, rng, 0);
+  Tensor s = sample_trigflow(velocity, {32}, tf, cfg, one_member(rng, 0));
   for (std::int64_t i = 0; i < s.numel(); ++i) EXPECT_NEAR(s[i], mu, 0.08f);
 }
 
@@ -108,8 +115,8 @@ TEST(TrigSampler, ChurnInjectsFreshNoiseWithoutBiasingDistribution) {
   TrigSamplerConfig churned = plain;
   churned.churn = 0.8f;
   Philox rng(5);
-  Tensor a = sample_trigflow(velocity, {4096}, tf, plain, rng, 0);
-  Tensor b = sample_trigflow(velocity, {4096}, tf, churned, rng, 0);
+  Tensor a = sample_trigflow(velocity, {4096}, tf, plain, one_member(rng, 0));
+  Tensor b = sample_trigflow(velocity, {4096}, tf, churned, one_member(rng, 0));
   EXPECT_FALSE(a.allclose(b, 1e-3f));
   EXPECT_NEAR(mean(b), 0.0f, 0.05f);
   EXPECT_NEAR(mean_sq(b), 1.0f, 0.12f);
@@ -161,7 +168,7 @@ TEST(EdmSampler, RecoversPointMass) {
   EdmSamplerConfig cfg;
   cfg.steps = 20;
   Philox rng(6);
-  Tensor s = sample_edm(network, {32}, edm, cfg, rng, 0);
+  Tensor s = sample_edm(network, {32}, edm, cfg, one_member(rng, 0));
   for (std::int64_t i = 0; i < s.numel(); ++i) EXPECT_NEAR(s[i], mu, 0.05f);
 }
 
@@ -212,7 +219,7 @@ TEST(TrigSampler, FewStepSamplesStayWellScaled) {
     TrigSamplerConfig cfg;
     cfg.steps = steps;
     Philox rng(7);
-    Tensor s = sample_trigflow(velocity, {4096}, tf, cfg, rng, 0);
+    Tensor s = sample_trigflow(velocity, {4096}, tf, cfg, one_member(rng, 0));
     for (std::int64_t i = 0; i < s.numel(); ++i) {
       ASSERT_TRUE(std::isfinite(s[i])) << "steps=" << steps;
     }
@@ -241,7 +248,7 @@ TEST(EdmSampler, SingleStepRecoversPointMassExactly) {
     EdmSamplerConfig cfg;
     cfg.steps = steps;
     Philox rng(8);
-    Tensor s = sample_edm(network, {32}, edm, cfg, rng, 0);
+    Tensor s = sample_edm(network, {32}, edm, cfg, one_member(rng, 0));
     for (std::int64_t i = 0; i < s.numel(); ++i) {
       EXPECT_NEAR(s[i], mu, steps == 1 ? 1e-4f : 0.05f) << "steps=" << steps;
     }
@@ -284,7 +291,7 @@ TEST(ConsistencySampler, PerfectStudentRecoversPointMassAtEveryStepCount) {
     ConsistencySamplerConfig cfg;
     cfg.steps = steps;
     Philox rng(9);
-    Tensor s = sample_consistency(velocity, {32}, tf, cfg, rng, 0);
+    Tensor s = sample_consistency(velocity, {32}, tf, cfg, one_member(rng, 0));
     for (std::int64_t i = 0; i < s.numel(); ++i) {
       EXPECT_NEAR(s[i], mu, 2e-4f) << "steps=" << steps;
     }
@@ -299,10 +306,10 @@ TEST(ConsistencySampler, MembersDifferAndAreReproducible) {
   ConsistencySamplerConfig cfg;
   cfg.steps = 2;
   Philox rng(10);
-  Tensor a = sample_consistency(velocity, {32}, tf, cfg, rng, 0);
-  Tensor b = sample_consistency(velocity, {32}, tf, cfg, rng, 1);
+  Tensor a = sample_consistency(velocity, {32}, tf, cfg, one_member(rng, 0));
+  Tensor b = sample_consistency(velocity, {32}, tf, cfg, one_member(rng, 1));
   EXPECT_FALSE(a.allclose(b, 1e-3f));
-  Tensor a2 = sample_consistency(velocity, {32}, tf, cfg, rng, 0);
+  Tensor a2 = sample_consistency(velocity, {32}, tf, cfg, one_member(rng, 0));
   EXPECT_TRUE(a.allclose(a2));
 }
 
@@ -316,14 +323,44 @@ TEST(ConsistencySampler, NoiseStreamsDisjointFromOdeSamplers) {
   cc.steps = 1;
   TrigSamplerConfig tc;
   tc.steps = 1;
-  Tensor cons = sample_consistency(velocity, {64}, tf, cc, rng, 0);
-  Tensor trig = sample_trigflow(velocity, {64}, tf, tc, rng, 0);
+  Tensor cons = sample_consistency(velocity, {64}, tf, cc, one_member(rng, 0));
+  Tensor trig = sample_trigflow(velocity, {64}, tf, tc, one_member(rng, 0));
   // Zero velocity: trig returns sigma_d * z_trig and cons returns
   // cos(t0) * sigma_d * z_cons — identical draws would make cons equal to
   // cos(t0) * trig exactly.
   const float t0 = std::atan(cc.sigma_max / tf.config().sigma_d);
   Tensor aliased = scale(trig, std::cos(t0));
   EXPECT_FALSE(cons.allclose(aliased, 1e-5f));
+}
+
+// --- Noise-key block bounds: draws past a key's 1024-wide block would
+// replay the next key's noise. ---
+
+TEST(TrigSampler, RejectsStepsBeyondTheNoiseKeyBlock) {
+  TrigFlow tf(TrigFlowConfig{});
+  DenoiserFn velocity = [](const Tensor& x, float) { return Tensor(x.shape()); };
+  Philox rng(12);
+  TrigSamplerConfig cfg;
+  cfg.churn = 0.5f;  // churn draws reach offset steps - 1
+  cfg.steps = 1025;
+  EXPECT_THROW(sample_trigflow(velocity, {4}, tf, cfg, one_member(rng, 0)),
+               std::invalid_argument);
+  cfg.steps = 1024;
+  EXPECT_NO_THROW(sample_trigflow(velocity, {4}, tf, cfg, one_member(rng, 0)));
+}
+
+TEST(ConsistencySampler, RejectsStepsBeyondTheNoiseKeyBlock) {
+  TrigFlow tf(TrigFlowConfig{});
+  DenoiserFn velocity = [](const Tensor& x, float) { return Tensor(x.shape()); };
+  Philox rng(13);
+  ConsistencySamplerConfig cfg;
+  cfg.steps = 257;
+  EXPECT_THROW(
+      sample_consistency(velocity, {4}, tf, cfg, one_member(rng, 0)),
+      std::invalid_argument);
+  cfg.steps = 256;
+  EXPECT_NO_THROW(
+      sample_consistency(velocity, {4}, tf, cfg, one_member(rng, 0)));
 }
 
 }  // namespace

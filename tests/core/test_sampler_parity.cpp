@@ -1,8 +1,8 @@
-// Batched-vs-serial sampler parity in the few-step regime: churn > 0 and
-// mixed MemberKey seeds at small step counts — exactly the conditions the
-// consistency sampler and a degraded server live in. Every slab of the
-// stacked solve must be bitwise-identical to the serial sampler called
-// with that slab's seed and member key.
+// Stacked-vs-serial sampler parity: churn > 0 and mixed MemberKey seeds,
+// at the small step counts the consistency sampler and a degraded server
+// live in and at the default ten. Every slab of the stacked solve must be
+// bitwise-identical to the serial reference loop (sampler_reference.hpp)
+// called with that slab's seed and member key.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "aeris/core/sampler.hpp"
-#include "aeris/tensor/ops.hpp"
+#include "sampler_reference.hpp"
 
 namespace aeris::core {
 namespace {
@@ -49,16 +49,14 @@ void expect_slab_bitwise(const Tensor& stacked, std::size_t e,
 TEST(SamplerParity, TrigFlowChurnMixedSeedsSmallSteps) {
   TrigFlow tf(TrigFlowConfig{});
   const auto keys = mixed_keys();
-  for (int steps : {1, 2, 3}) {
+  for (int steps : {1, 2, 3, 10}) {
     TrigSamplerConfig cfg;
     cfg.steps = steps;
     cfg.churn = 0.7f;  // exercises the churn noise streams
-    Tensor stacked =
-        sample_trigflow_batched(toy_velocity, {kN}, tf, cfg,
-                                std::span<const MemberKey>(keys));
+    Tensor stacked = sample_trigflow(toy_velocity, {kN}, tf, cfg, keys);
     for (std::size_t e = 0; e < keys.size(); ++e) {
-      Tensor serial = sample_trigflow(toy_velocity, {kN}, tf, cfg,
-                                      Philox(keys[e].seed), keys[e].key);
+      Tensor serial = reference::sample_trigflow(
+          toy_velocity, {kN}, tf, cfg, Philox(keys[e].seed), keys[e].key);
       expect_slab_bitwise(stacked, e, serial,
                           "trigflow steps=" + std::to_string(steps) +
                               " slab=" + std::to_string(e));
@@ -69,14 +67,13 @@ TEST(SamplerParity, TrigFlowChurnMixedSeedsSmallSteps) {
 TEST(SamplerParity, EdmMixedSeedsSmallSteps) {
   Edm edm(EdmConfig{});
   const auto keys = mixed_keys();
-  for (int steps : {1, 2, 3}) {
+  for (int steps : {1, 2, 3, 10}) {
     EdmSamplerConfig cfg;
     cfg.steps = steps;
-    Tensor stacked = sample_edm_batched(toy_velocity, {kN}, edm, cfg,
-                                        std::span<const MemberKey>(keys));
+    Tensor stacked = sample_edm(toy_velocity, {kN}, edm, cfg, keys);
     for (std::size_t e = 0; e < keys.size(); ++e) {
-      Tensor serial = sample_edm(toy_velocity, {kN}, edm, cfg,
-                                 Philox(keys[e].seed), keys[e].key);
+      Tensor serial = reference::sample_edm(toy_velocity, {kN}, edm, cfg,
+                                            Philox(keys[e].seed), keys[e].key);
       expect_slab_bitwise(stacked, e, serial,
                           "edm steps=" + std::to_string(steps) +
                               " slab=" + std::to_string(e));
@@ -90,38 +87,15 @@ TEST(SamplerParity, ConsistencyMixedSeedsEveryFewStepCount) {
   for (int steps : {1, 2, 3, 4}) {
     ConsistencySamplerConfig cfg;
     cfg.steps = steps;
-    Tensor stacked =
-        sample_consistency_batched(toy_velocity, {kN}, tf, cfg,
-                                   std::span<const MemberKey>(keys));
+    Tensor stacked = sample_consistency(toy_velocity, {kN}, tf, cfg, keys);
     for (std::size_t e = 0; e < keys.size(); ++e) {
-      Tensor serial = sample_consistency(toy_velocity, {kN}, tf, cfg,
-                                         Philox(keys[e].seed), keys[e].key);
+      Tensor serial = reference::sample_consistency(
+          toy_velocity, {kN}, tf, cfg, Philox(keys[e].seed), keys[e].key);
       expect_slab_bitwise(stacked, e, serial,
                           "consistency steps=" + std::to_string(steps) +
                               " slab=" + std::to_string(e));
     }
   }
-}
-
-TEST(SamplerParity, SharedSeedOverloadMatchesPerMemberKeys) {
-  // The shared-seed overloads must delegate exactly (same seed for every
-  // slab) for all three samplers.
-  TrigFlow tf(TrigFlowConfig{});
-  const std::uint64_t seed = 77;
-  const std::vector<std::uint64_t> plain_keys = {0, 4096 + 1, 2 * 4096};
-  std::vector<MemberKey> mk;
-  for (std::uint64_t k : plain_keys) mk.push_back(MemberKey{seed, k});
-
-  ConsistencySamplerConfig cc;
-  cc.steps = 2;
-  Tensor a = sample_consistency_batched(
-      toy_velocity, {kN}, tf, cc, Philox(seed),
-      std::span<const std::uint64_t>(plain_keys));
-  Tensor b = sample_consistency_batched(toy_velocity, {kN}, tf, cc,
-                                        std::span<const MemberKey>(mk));
-  ASSERT_EQ(std::memcmp(a.data(), b.data(),
-                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
-            0);
 }
 
 }  // namespace

@@ -413,5 +413,20 @@ TEST(ClusterForecastServer, StopIsCleanAndIdempotent) {
   EXPECT_NE(r.error, nullptr);
 }
 
+TEST(ClusterOptions, FromEnvRejectsMalformedKnobs) {
+  ::setenv("AERIS_SERVE_RANKS", "4", 1);
+  EXPECT_EQ(ClusterOptions::from_env().ranks, 4);
+  ::setenv("AERIS_SERVE_RANKS", "4x", 1);
+  try {
+    (void)ClusterOptions::from_env();
+    ADD_FAILURE() << "AERIS_SERVE_RANKS=4x was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("AERIS_SERVE_RANKS"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("AERIS_SERVE_RANKS");
+}
+
 }  // namespace
 }  // namespace aeris::serving

@@ -9,6 +9,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "aeris/core/forecaster.hpp"
@@ -618,6 +619,13 @@ TEST(ForecastServer, MalformedRequestsThrow) {
   zero_members.forcings_at = make_forcing;
   zero_members.members = 0;
   EXPECT_THROW(server.forecast(zero_members), std::invalid_argument);
+
+  // Past kStepsPerMember steps, member m would replay member m+1's noise.
+  ForecastRequest too_long;
+  too_long.init = make_init(0);
+  too_long.forcings_at = make_forcing;
+  too_long.steps = core::MemberCursor::kStepsPerMember + 1;
+  EXPECT_THROW(server.forecast(too_long), std::invalid_argument);
 }
 
 TEST(ForecastServer, FromEnvReadsKnobs) {
@@ -637,6 +645,29 @@ TEST(ForecastServer, FromEnvReadsKnobs) {
   ::unsetenv("AERIS_SERVE_DEGRADE_WAIT_MS");
   ::unsetenv("AERIS_SERVE_DEGRADE_STEPS");
   ::unsetenv("AERIS_SERVE_DEGRADE_MEMBERS");
+
+  // Malformed values throw, naming the knob, instead of parsing a prefix
+  // ("12abc" as 12) or silently keeping the default ("abc").
+  const std::pair<const char*, const char*> malformed[] = {
+      {"AERIS_SERVE_QUEUE_CAP", "12abc"},
+      {"AERIS_SERVE_QUEUE_CAP", "abc"},
+      {"AERIS_SERVE_QUEUE_CAP", "99999999999999999999"},
+      {"AERIS_SERVE_DEADLINE_MS", "1.5ms"},
+      {"AERIS_SERVE_DEADLINE_MS", "1e999"},
+      {"AERIS_SERVE_DEADLINE_MS", "nan"},
+      {"AERIS_SERVE_DEGRADE_STEPS", "4294967296"},
+  };
+  for (const auto& [name, value] : malformed) {
+    ::setenv(name, value, 1);
+    try {
+      (void)ServerOptions::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(name);
+  }
 }
 
 }  // namespace
